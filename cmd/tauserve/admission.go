@@ -1,13 +1,13 @@
 // admission.go is the overload-protection layer of the hot endpoints
-// (step, steps, feedback): a per-endpoint concurrency cap with a bounded
-// admission queue and deadline-aware shedding. The accept path is
-// allocation-free — admission is one non-blocking channel send, release one
-// receive — and only a request that finds the endpoint saturated pays for a
-// queue slot (an atomic counter) and a pooled timer. Shed responses carry
-// Retry-After and the same {"error": ...} JSON shape as every other 4xx/5xx,
-// pre-rendered so shedding a request under overload costs no allocation
-// either: the cheaper rejection is, the better it protects the work that was
-// admitted.
+// (step, steps, feedback) on both listeners: a per-endpoint concurrency cap
+// with a bounded admission queue and deadline-aware shedding. The accept
+// path is allocation-free — admission is one non-blocking channel send,
+// release one receive — and only a request that finds the endpoint
+// saturated pays for a queue slot (an atomic counter) and a pooled timer.
+// A shed is a verdict, not a response: HTTP renders it as a pre-rendered
+// JSON body with Retry-After, the wire listener as an error frame, so
+// shedding a request under overload costs no allocation either: the
+// cheaper rejection is, the better it protects the work that was admitted.
 package main
 
 import (
@@ -20,10 +20,16 @@ import (
 	"github.com/iese-repro/tauw/internal/trace"
 )
 
-// Shed response bodies, pre-rendered: the overload path must not allocate.
+// Shed messages, and their HTTP bodies pre-rendered: the overload path must
+// not allocate.
+const (
+	msgQueueFull = "server overloaded: admission queue full"
+	msgDeadline  = "request deadline exceeded in admission queue"
+)
+
 var (
-	errQueueFullBody = []byte(`{"error":"server overloaded: admission queue full"}`)
-	errDeadlineBody  = []byte(`{"error":"request deadline exceeded in admission queue"}`)
+	errQueueFullBody = []byte(`{"error":"` + msgQueueFull + `"}`)
+	errDeadlineBody  = []byte(`{"error":"` + msgDeadline + `"}`)
 )
 
 // limiter is one endpoint's admission gate. A nil tokens channel disables
@@ -53,10 +59,10 @@ type limiter struct {
 	endpoint uint64
 }
 
-// admission is the server's limiter set, one per hot endpoint. It
-// implements monitor.ShedSource for the tauw_shed_total exposition.
+// admission is the server's hot endpoint set. It implements
+// monitor.ShedSource for the tauw_shed_total exposition.
 type admission struct {
-	step, batch, feedback limiter
+	step, batch, feedback hotEndpoint
 }
 
 // init configures one endpoint's gate in place (the limiter embeds
@@ -73,7 +79,7 @@ func (l *limiter) init(name string, maxInflight, maxQueue int, timeout time.Dura
 // EachShed implements monitor.ShedSource: every endpoint×reason series is
 // visited (zeros included, so the counters exist before the first shed).
 func (a *admission) EachShed(visit func(endpoint, reason string, count uint64)) {
-	for _, l := range [...]*limiter{&a.step, &a.batch, &a.feedback} {
+	for _, l := range [...]*limiter{&a.step.limiter, &a.batch.limiter, &a.feedback.limiter} {
 		visit(l.name, "queue_full", l.shedQueueFull.Load())
 		visit(l.name, "deadline", l.shedDeadline.Load())
 	}
@@ -103,44 +109,41 @@ func putTimer(t *time.Timer) {
 	timerPool.Put(t)
 }
 
-// admit gates one request. It returns true when the request holds a token
-// (pair with release); on false it has already written the shed response —
-// 429 when the bounded queue is full (the client should back off and
-// retry), 503 when the request spent its whole -request-timeout waiting for
-// a token (the server is saturated beyond the queue's smoothing ability).
-// Both carry Retry-After per RFC 7231 §7.1.3.
-func (l *limiter) admit(w http.ResponseWriter) bool {
+// admit gates one request and returns its verdict: http.StatusOK when the
+// request holds a token (pair with release), 429 when the bounded queue is
+// full (the client should back off and retry), 503 when the request spent
+// its whole -request-timeout waiting for a token (the server is saturated
+// beyond the queue's smoothing ability). Sheds are already counted.
+func (l *limiter) admit() int {
 	if l.tokens == nil {
-		return true
+		return http.StatusOK
 	}
 	select {
 	case l.tokens <- struct{}{}:
-		return true
+		return http.StatusOK
 	default:
 	}
 	if l.queued.Add(1) > l.maxQueue {
 		l.queued.Add(-1)
 		l.noteQueueFull()
-		shedResponse(w, http.StatusTooManyRequests, errQueueFullBody)
-		return false
+		return http.StatusTooManyRequests
 	}
 	if l.timeout <= 0 {
 		l.tokens <- struct{}{}
 		l.queued.Add(-1)
-		return true
+		return http.StatusOK
 	}
 	t := getTimer(l.timeout)
 	select {
 	case l.tokens <- struct{}{}:
 		l.queued.Add(-1)
 		putTimer(t)
-		return true
+		return http.StatusOK
 	case <-t.C:
 		l.queued.Add(-1)
 		l.noteDeadline()
 		putTimer(t)
-		shedResponse(w, http.StatusServiceUnavailable, errDeadlineBody)
-		return false
+		return http.StatusServiceUnavailable
 	}
 }
 
@@ -167,17 +170,30 @@ func (l *limiter) release() {
 	<-l.tokens
 }
 
-// shedResponse writes a pre-rendered overload rejection: JSON error shape,
-// exact Content-Length, and a Retry-After the client can obey. One second
-// is deliberate — shedding exists to smooth bursts, and a burst that is
-// still there a second later deserves to be shed again.
-func shedResponse(w http.ResponseWriter, code int, body []byte) {
+// shedMessage is the error message of a shed verdict on either transport.
+func shedMessage(status int) string {
+	if status == http.StatusTooManyRequests {
+		return msgQueueFull
+	}
+	return msgDeadline
+}
+
+// shedResponse writes a shed verdict as a pre-rendered overload rejection:
+// JSON error shape, exact Content-Length, and a Retry-After the client can
+// obey (RFC 7231 §7.1.3). One second is deliberate — shedding exists to
+// smooth bursts, and a burst that is still there a second later deserves to
+// be shed again.
+func shedResponse(w http.ResponseWriter, status int) {
+	body := errDeadlineBody
+	if status == http.StatusTooManyRequests {
+		body = errQueueFullBody
+	}
 	h := w.Header()
 	h.Set("Content-Type", "application/json")
 	h.Set("Retry-After", "1")
 	h.Set("Content-Length", strconv.Itoa(len(body)))
-	w.WriteHeader(code)
+	w.WriteHeader(status)
 	if _, err := w.Write(body); err != nil {
-		logWriteFailure("shed", code, err)
+		logWriteFailure("shed", status, err)
 	}
 }

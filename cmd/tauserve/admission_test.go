@@ -39,10 +39,12 @@ func testServerSrv(t *testing.T, opts ...ServerOption) (*httptest.Server, *Serve
 	return ts, srv
 }
 
-// checkShedResponse asserts the recorded response is a well-formed shed: the
-// expected status, Retry-After, and the unified JSON error shape.
-func checkShedResponse(t *testing.T, rec *httptest.ResponseRecorder, wantCode int) {
+// checkShedResponse asserts a shed verdict renders as a well-formed HTTP
+// shed: the expected status, Retry-After, and the unified JSON error shape.
+func checkShedResponse(t *testing.T, verdict, wantCode int) {
 	t.Helper()
+	rec := httptest.NewRecorder()
+	shedResponse(rec, verdict)
 	if rec.Code != wantCode {
 		t.Fatalf("shed status = %d, want %d", rec.Code, wantCode)
 	}
@@ -62,7 +64,7 @@ func TestLimiterDisabledIsFree(t *testing.T) {
 	var l limiter
 	l.init("step", 0, 0, 0)
 	for i := 0; i < 3; i++ {
-		if !l.admit(httptest.NewRecorder()) {
+		if l.admit() != http.StatusOK {
 			t.Fatal("disabled limiter refused a request")
 		}
 		l.release()
@@ -72,19 +74,19 @@ func TestLimiterDisabledIsFree(t *testing.T) {
 func TestLimiterQueueFullSheds429(t *testing.T) {
 	var l limiter
 	l.init("step", 1, 0, 0)
-	if !l.admit(httptest.NewRecorder()) {
+	if l.admit() != http.StatusOK {
 		t.Fatal("first request refused on an idle limiter")
 	}
-	rec := httptest.NewRecorder()
-	if l.admit(rec) {
+	verdict := l.admit()
+	if verdict == http.StatusOK {
 		t.Fatal("admitted past the inflight cap with no queue")
 	}
-	checkShedResponse(t, rec, http.StatusTooManyRequests)
+	checkShedResponse(t, verdict, http.StatusTooManyRequests)
 	if got := l.shedQueueFull.Load(); got != 1 {
 		t.Fatalf("shedQueueFull = %d, want 1", got)
 	}
 	l.release()
-	if !l.admit(httptest.NewRecorder()) {
+	if l.admit() != http.StatusOK {
 		t.Fatal("release did not free the admission slot")
 	}
 	l.release()
@@ -93,18 +95,18 @@ func TestLimiterQueueFullSheds429(t *testing.T) {
 func TestLimiterDeadlineSheds503(t *testing.T) {
 	var l limiter
 	l.init("step", 1, 1, 20*time.Millisecond)
-	if !l.admit(httptest.NewRecorder()) {
+	if l.admit() != http.StatusOK {
 		t.Fatal("first request refused")
 	}
-	rec := httptest.NewRecorder()
 	start := time.Now()
-	if l.admit(rec) {
+	verdict := l.admit()
+	if verdict == http.StatusOK {
 		t.Fatal("admitted a second request past the cap")
 	}
 	if waited := time.Since(start); waited < 20*time.Millisecond {
 		t.Fatalf("shed after %v, before the %v admission budget ran out", waited, 20*time.Millisecond)
 	}
-	checkShedResponse(t, rec, http.StatusServiceUnavailable)
+	checkShedResponse(t, verdict, http.StatusServiceUnavailable)
 	if got := l.shedDeadline.Load(); got != 1 {
 		t.Fatalf("shedDeadline = %d, want 1", got)
 	}
@@ -114,14 +116,14 @@ func TestLimiterDeadlineSheds503(t *testing.T) {
 func TestLimiterQueuedRequestAdmitsOnRelease(t *testing.T) {
 	var l limiter
 	l.init("step", 1, 1, time.Second)
-	if !l.admit(httptest.NewRecorder()) {
+	if l.admit() != http.StatusOK {
 		t.Fatal("first request refused")
 	}
 	go func() {
 		time.Sleep(10 * time.Millisecond)
 		l.release()
 	}()
-	if !l.admit(httptest.NewRecorder()) {
+	if l.admit() != http.StatusOK {
 		t.Fatal("queued request shed although a slot freed within its budget")
 	}
 	l.release()

@@ -215,13 +215,14 @@ func appendBatchStepResponse(dst []byte, r *batchStepResponse) ([]byte, error) {
 
 // ---------------------------------------------------------------- decoder --
 
-// wireStep is one decoded step item: the quality object has already been
-// resolved into the wrapper's factor vector (qf), so the map[string]float64
-// of the wire format never materialises. When the item carried a semantic
-// error (unknown factor, out-of-range value, bad pixel size) it is recorded
-// in itemErr and the item fails with its own 400 without failing the batch —
-// exactly the split the stdlib path had between json.Decode errors
-// (whole-request) and qualityFromMap errors (per-item).
+// wireStep is one decoded step item of either transport: a JSON quality
+// object has already been resolved into the wrapper's factor vector (qf), so
+// its map[string]float64 never materialises, and a frame's positional
+// vector is copied in. When the item carried a semantic error (unknown
+// factor, out-of-range value, bad pixel size, a frame's wrong factor count)
+// it is recorded in itemErr and the item fails with its own 400 without
+// failing the batch — exactly the split the stdlib path had between
+// json.Decode errors (whole-request) and qualityFromMap errors (per-item).
 type wireStep struct {
 	seriesID string
 	outcome  int
@@ -239,12 +240,12 @@ type decoder struct {
 
 	// scratch backs escaped-string decoding and quality-key lookups.
 	scratch []byte
-	// slab backs the decoded quality vectors. It is allocated fresh per
-	// request — never pooled — because the wrapper buffers retain each
-	// item's vector after the request completes. Chunks grow geometrically
-	// from one vector up to maxSlabChunkItems, so a single-step request
-	// pays one vector-sized allocation while a full batch amortises to a
-	// handful of chunks.
+	// slab backs the decoded quality vectors of both transports. It is
+	// carve-only: the wrapper buffers retain each vector after the request
+	// completes, so a carved vector is never handed out again, but the
+	// uncarved rest survives reset and pooling. Chunks grow geometrically
+	// from one vector up to maxSlabChunkItems, so allocation amortises to
+	// one make per maxSlabChunkItems vectors.
 	slab      []float64
 	nextChunk int
 }
@@ -257,8 +258,6 @@ const maxSlabChunkItems = 256
 func (d *decoder) reset(buf []byte) {
 	d.buf = buf
 	d.pos = 0
-	d.slab = nil
-	d.nextChunk = 1
 }
 
 func (d *decoder) errAt(format string, args ...any) error {
@@ -630,8 +629,7 @@ func (d *decoder) decodeStepItem(out *wireStep) error {
 	pixelSize := 0.0
 	if isNull, err := d.maybeNull(); isNull || err != nil {
 		if err == nil {
-			out.itemErr = fmt.Errorf("pixel_size must be positive, got %g", pixelSize)
-			out.qf = nil
+			out.itemErr, out.qf = checkQuality(out.qf), nil
 		}
 		return err
 	}
@@ -720,20 +718,28 @@ func (d *decoder) decodeStepItem(out *wireStep) error {
 	// Semantic validation runs on the final values only, so a duplicate
 	// key that overwrites a bad value heals the item exactly as it would
 	// have through the stdlib map path.
-	if out.itemErr == nil {
-		for i, v := range out.qf[:len(qualityNames)] {
-			if !(v >= 0 && v <= 1) {
-				out.itemErr = fmt.Errorf("quality factor %q = %g outside [0,1]", qualityNames[i], v)
-				break
-			}
-		}
-	}
-	if out.itemErr == nil && !(pixelSize > 0) {
-		out.itemErr = fmt.Errorf("pixel_size must be positive, got %g", pixelSize)
-	}
 	out.qf[len(out.qf)-1] = pixelSize
+	if out.itemErr == nil {
+		out.itemErr = checkQuality(out.qf)
+	}
 	if out.itemErr != nil {
 		out.qf = nil
+	}
+	return nil
+}
+
+// checkQuality is the semantic check every decoded quality vector passes,
+// whichever transport carried it: deficit channels in [0,1] and a positive
+// pixel size, both negated so NaN (which satisfies no comparison) fails.
+func checkQuality(qf []float64) error {
+	n := len(qf) - 1
+	for i, v := range qf[:n] {
+		if !(v >= 0 && v <= 1) {
+			return fmt.Errorf("quality factor %q = %g outside [0,1]", qualityNames[i], v)
+		}
+	}
+	if !(qf[n] > 0) {
+		return fmt.Errorf("pixel_size must be positive, got %g", qf[n])
 	}
 	return nil
 }
@@ -994,10 +1000,13 @@ func (d *decoder) decodeStepsArray(items []wireStep) ([]wireStep, error) {
 
 // ------------------------------------------------------------ scratch pool --
 
-// serveScratch bundles every reusable buffer one hot-path request needs:
-// the body bytes, the decoder, the decoded items, the pool batch inputs and
-// results, and the response buffer. One sync.Pool checkout per request.
+// serveScratch bundles every reusable buffer one hot exchange needs: the
+// body bytes (the wire connection's frame buffer), the decoder with its
+// quality slab, the decoded items, the pool batch inputs and results, and
+// the response buffer. One sync.Pool checkout per HTTP request, or per wire
+// connection.
 type serveScratch struct {
+	x       exchange
 	body    []byte
 	dec     decoder
 	steps   []wireStep
@@ -1021,6 +1030,7 @@ func (s *serveScratch) release() {
 	// Drop references the pool must not pin: series-id views into the body
 	// buffer die with the length reset; quality vectors are owned by the
 	// wrapper buffers now and must not be reachable from the pool.
+	s.x = exchange{}
 	for i := range s.steps {
 		s.steps[i] = wireStep{}
 	}

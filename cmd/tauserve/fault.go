@@ -64,12 +64,12 @@ func parseFaultOps(op string) ([]store.Op, error) {
 func (s *Server) handleFault(w http.ResponseWriter, r *http.Request) {
 	var req faultRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxStepBodyBytes)).Decode(&req); err != nil {
-		httpError(w, decodeStatus(err), fmt.Errorf("decoding request: %w", err))
+		httpError(w, decodeStatus(err), "decoding request: "+err.Error())
 		return
 	}
 	ops, err := parseFaultOps(req.Op)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if req.Clear {

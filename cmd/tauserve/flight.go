@@ -9,7 +9,6 @@
 package main
 
 import (
-	"errors"
 	"net/http"
 	"strconv"
 
@@ -42,7 +41,7 @@ func (s *Server) handleFlightAnomaly(w http.ResponseWriter, r *http.Request) {
 	s.anomBuf = evs
 	if info.Seq == 0 {
 		s.flightMu.Unlock()
-		httpError(w, http.StatusNotFound, errors.New("no anomaly snapshot frozen yet"))
+		httpError(w, http.StatusNotFound, "no anomaly snapshot frozen yet")
 		return
 	}
 	sc.out = appendAnomalyDump(sc.out[:0], info, evs)

@@ -8,12 +8,8 @@
 package main
 
 import (
-	"errors"
-	"fmt"
 	"net/http"
-	"time"
 
-	"github.com/iese-repro/tauw/internal/core"
 	"github.com/iese-repro/tauw/internal/xlog"
 )
 
@@ -22,12 +18,13 @@ import (
 // component=recalib records.
 var recalibLog = xlog.New("recalib")
 
-// handleFeedback is the ground-truth ingestion endpoint. The report names a
-// series, the step being judged (the total_steps echoed by the step
-// response), and the true outcome class; the server joins it to the
-// provenance ring's record of what was served at that step and folds the
-// verdict into the calibration monitor. Status codes spell out the join
-// result so clients can tell remediable conditions apart:
+// handleFeedback is the JSON shell of the ground-truth core (joinFeedback
+// in pipeline.go). The report names a series, the step being judged (the
+// total_steps echoed by the step response), and the true outcome class; the
+// server joins it to the provenance ring's record of what was served at
+// that step and folds the verdict into the calibration monitor. Status
+// codes spell out the join result so clients can tell remediable
+// conditions apart:
 //
 //	200 joined (body echoes the judged estimate and the verdict)
 //	400 malformed request, or step/truth missing
@@ -37,97 +34,23 @@ var recalibLog = xlog.New("recalib")
 //	    retains, the step never happened, or the series was reset)
 //	501 feedback disabled (-feedback-ring 0)
 func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	defer func() { s.latFeedback.Observe(time.Since(start)) }()
-	if !s.adm.feedback.admit(w) {
+	sc := s.enterHTTP(w, r, &s.adm.feedback, maxStepBodyBytes)
+	if sc == nil {
 		return
 	}
-	defer s.adm.feedback.release()
-	sc := getScratch()
-	defer sc.release()
-	var err error
-	sc.body, err = readBody(sc.body, http.MaxBytesReader(w, r.Body, maxStepBodyBytes))
-	if err != nil {
-		httpError(w, decodeStatus(err), fmt.Errorf("reading request: %w", err))
-		return
-	}
-	sc.dec.reset(sc.body)
+	defer s.leaveHTTP(sc)
 	var fb wireFeedback
 	if err := sc.dec.decodeFeedbackRequest(&fb); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+		httpError(w, http.StatusBadRequest, "decoding request: "+err.Error())
 		return
 	}
-	resp, status, err := s.joinFeedback(fb.seriesID, fb.step, fb.truth)
-	if err != nil {
-		httpError(w, status, err)
-		return
+	var resp feedbackResponse
+	status, msg := s.joinFeedback(fb.seriesID, fb.step, fb.truth, &resp)
+	var err error
+	if status == http.StatusOK {
+		sc.out, err = appendFeedbackResponse(sc.out[:0], &resp)
 	}
-	sc.out, err = appendFeedbackResponse(sc.out[:0], &resp)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
-		return
-	}
-	writeRaw(w, http.StatusOK, sc.out, "feedback")
-}
-
-// joinFeedback performs the ground-truth join shared by POST /v1/feedback
-// and the binary transport's feedback frame: resolve the series, join the
-// report against the provenance ring, fold the verdict into the calibration
-// monitor and the per-leaf evidence, and (when armed) attempt the automatic
-// drift response. On failure the returned status carries the HTTP code of
-// the condition; the wire dispatch reuses it verbatim, so the two
-// transports cannot drift apart on error semantics.
-func (s *Server) joinFeedback(seriesID string, step, truth int) (feedbackResponse, int, error) {
-	track, err := s.pool.ResolveSeries(seriesID)
-	if err != nil {
-		return feedbackResponse{}, http.StatusNotFound, fmt.Errorf("unknown series %q", seriesID)
-	}
-	rec, err := s.pool.TakeFeedback(track, step)
-	if err != nil {
-		switch {
-		case errors.Is(err, core.ErrFeedbackDisabled):
-			return feedbackResponse{}, http.StatusNotImplemented, err
-		case errors.Is(err, core.ErrDuplicateFeedback):
-			return feedbackResponse{}, http.StatusConflict, err
-		case errors.Is(err, core.ErrStepUnavailable):
-			return feedbackResponse{}, http.StatusGone, err
-		case errors.Is(err, core.ErrUnknownTrack):
-			// The series closed between resolution and the join.
-			return feedbackResponse{}, http.StatusNotFound, fmt.Errorf("unknown series %q", seriesID)
-		default:
-			return feedbackResponse{}, http.StatusInternalServerError, err
-		}
-	}
-	wrong := rec.Fused != truth
-	if err := s.calib.Observe(track, rec.Uncertainty, wrong); err != nil {
-		return feedbackResponse{}, http.StatusInternalServerError, err
-	}
-	// Attribute the verdict to the taQIM region that produced the judged
-	// estimate — the per-leaf evidence the recalibration loop refreshes
-	// bounds from.
-	s.leafStats.Observe(track, rec.TAQIMLeaf, wrong)
-	if s.autoRecalib && s.calib.DriftAlarmed() {
-		// The drift alarm is active and the operator armed the automatic
-		// response: attempt a recalibration swap. The policy's cooldown and
-		// min-feedback-per-leaf guards make this cheap to call per feedback
-		// while an alarm churns; a successful swap clears the alarm.
-		if rep, err := s.recal.TryAuto(); err != nil {
-			recalibLog.Error("auto recalibration failed", "err", err)
-		} else if rep.Swapped {
-			recalibLog.Info("drift alarm triggered recalibration",
-				"old_version", rep.OldVersion, "new_version", rep.NewVersion)
-		}
-	}
-	return feedbackResponse{
-		SeriesID:     seriesID,
-		Step:         rec.Step,
-		Correct:      !wrong,
-		FusedOutcome: rec.Fused,
-		Uncertainty:  rec.Uncertainty,
-		TAQIMLeaf:    rec.TAQIMLeaf,
-		ModelVersion: rec.ModelVersion,
-		DriftAlarm:   s.calib.DriftAlarmed(),
-	}, http.StatusOK, nil
+	reply(w, sc, status, msg, err, "feedback")
 }
 
 // handleRecalibrate is the manual recalibration trigger: refresh every taQIM
@@ -142,7 +65,7 @@ func (s *Server) handleRecalibrate(w http.ResponseWriter, r *http.Request) {
 	drainBody(w, r)
 	rep, err := s.recal.Recalibrate()
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
+		httpError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	if rep.Swapped {
@@ -154,7 +77,7 @@ func (s *Server) handleRecalibrate(w http.ResponseWriter, r *http.Request) {
 	resp := recalibResponseFrom(rep)
 	sc.out, err = appendRecalibResponse(sc.out[:0], &resp)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
+		httpError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	writeRaw(w, http.StatusOK, sc.out, "recalibrate")

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"context"
 	//tauwcheck:ignore codecpure cold admin responses only; hot codecs are hand-rolled in codec.go
 	"encoding/json"
 	"errors"
@@ -23,7 +22,6 @@ import (
 	"github.com/iese-repro/tauw/internal/trace"
 	"github.com/iese-repro/tauw/internal/uw"
 	"github.com/iese-repro/tauw/internal/xlog"
-	"github.com/iese-repro/tauw/internal/xslice"
 )
 
 // maxBatchItems caps one POST /v1/steps request; larger batches should be
@@ -59,11 +57,8 @@ type Server struct {
 	// calib is the runtime calibration monitor fed by /v1/feedback; expo
 	// renders it (plus the pool counters, gate counts, and the latency
 	// histograms) for /metrics.
-	calib       *monitor.Monitor
-	expo        *monitor.Exposition
-	latStep     *monitor.LatencyHist
-	latBatch    *monitor.LatencyHist
-	latFeedback *monitor.LatencyHist
+	calib *monitor.Monitor
+	expo  *monitor.Exposition
 	// stages times the request pipeline's internal stages (decode, step,
 	// encode here; store_append/checkpoint/fsync in the durability layer)
 	// for the tauw_stage_duration_seconds exposition.
@@ -90,11 +85,11 @@ type Server struct {
 	// in-flight batches finish.
 	ready atomic.Bool
 
-	// adm is the per-endpoint overload gate (see admission.go);
-	// requestTimeout is the hot-request deadline it sheds against, also
-	// propagated as a context through pool batch steps. degraded reports
-	// the durability circuit breaker's state for /readyz (nil when no
-	// store is attached — never degraded).
+	// adm holds the hot endpoints' overload gates and latency histograms
+	// (see admission.go); requestTimeout is the hot-request deadline they
+	// shed against, also propagated as a context through pool batch steps.
+	// degraded reports the durability circuit breaker's state for /readyz
+	// (nil when no store is attached — never degraded).
 	adm            admission
 	requestTimeout time.Duration
 	degraded       func() bool
@@ -106,8 +101,11 @@ type Server struct {
 
 	// wire is the binary-transport listener when one is serving (see
 	// wire.go); ShutdownWire drains it alongside the HTTP drain.
-	wireMu sync.Mutex
-	wire   *wireServer
+	// writeTimeout bounds each of its flushes, the -write-timeout the HTTP
+	// server applies to a response (0 = none).
+	wireMu       sync.Mutex
+	wire         *wireServer
+	writeTimeout time.Duration
 }
 
 // ServerOption customises server construction.
@@ -279,9 +277,6 @@ func NewServer(base *uw.Wrapper, taqim *uw.QualityImpactModel, policy simplex.Po
 		pool:           pool,
 		batchWorkers:   o.batchWorkers,
 		calib:          calib,
-		latStep:        monitor.NewLatencyHist(),
-		latBatch:       monitor.NewLatencyHist(),
-		latFeedback:    monitor.NewLatencyHist(),
 		leafStats:      leafStats,
 		recal:          recal,
 		autoRecalib:    o.autoRecalib,
@@ -298,6 +293,8 @@ func NewServer(base *uw.Wrapper, taqim *uw.QualityImpactModel, policy simplex.Po
 	s.adm.step.trace, s.adm.step.endpoint = o.trace, trace.EndpointStep
 	s.adm.batch.trace, s.adm.batch.endpoint = o.trace, trace.EndpointSteps
 	s.adm.feedback.trace, s.adm.feedback.endpoint = o.trace, trace.EndpointFeedback
+	s.adm.step.lat, s.adm.batch.lat, s.adm.feedback.lat =
+		monitor.NewLatencyHist(), monitor.NewLatencyHist(), monitor.NewLatencyHist()
 	s.expo = &monitor.Exposition{
 		Monitor: calib,
 		Pool:    pool,
@@ -305,9 +302,9 @@ func NewServer(base *uw.Wrapper, taqim *uw.QualityImpactModel, policy simplex.Po
 		Swap:    recal,
 		Shed:    &s.adm,
 		Latencies: []monitor.EndpointLatency{
-			{Name: "step", Hist: s.latStep},
-			{Name: "steps", Hist: s.latBatch},
-			{Name: "feedback", Hist: s.latFeedback},
+			{Name: "step", Hist: s.adm.step.lat},
+			{Name: "steps", Hist: s.adm.batch.lat},
+			{Name: "feedback", Hist: s.adm.feedback.lat},
 		},
 		Stages: s.stages,
 		Go:     monitor.NewGoStats(),
@@ -404,10 +401,10 @@ func (s *Server) catchAll(routes []route) http.HandlerFunc {
 		if len(allow) > 0 {
 			w.Header().Set("Allow", strings.Join(allow, ", "))
 			httpError(w, http.StatusMethodNotAllowed,
-				fmt.Errorf("method %s not allowed for %s", r.Method, r.URL.Path))
+				fmt.Sprintf("method %s not allowed for %s", r.Method, r.URL.Path))
 			return
 		}
-		httpError(w, http.StatusNotFound, fmt.Errorf("no such endpoint %s", r.URL.Path))
+		httpError(w, http.StatusNotFound, "no such endpoint "+r.URL.Path)
 	}
 }
 
@@ -420,7 +417,7 @@ func (s *Server) catchAll(routes []route) http.HandlerFunc {
 // can still see the state without scraping metrics.
 func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	if !s.ready.Load() {
-		httpError(w, http.StatusServiceUnavailable, errors.New("draining"))
+		httpError(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
 	w.WriteHeader(http.StatusOK)
@@ -440,11 +437,8 @@ func (s *Server) handleNewSeries(w http.ResponseWriter, r *http.Request) {
 	drainBody(w, r)
 	id, err := s.pool.OpenSeries()
 	if err != nil {
-		if errors.Is(err, core.ErrTrackBudget) {
-			httpError(w, http.StatusServiceUnavailable, err)
-			return
-		}
-		httpError(w, http.StatusInternalServerError, err)
+		status, msg := errStatus(err, "")
+		httpError(w, status, msg)
 		return
 	}
 	writeJSON(w, http.StatusCreated, newSeriesResponse{SeriesID: id}, "series")
@@ -453,11 +447,8 @@ func (s *Server) handleNewSeries(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleEndSeries(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if err := s.pool.CloseSeries(id); err != nil {
-		if errors.Is(err, core.ErrUnknownSeries) || errors.Is(err, core.ErrUnknownTrack) {
-			httpError(w, http.StatusNotFound, fmt.Errorf("unknown series %q", id))
-			return
-		}
-		httpError(w, http.StatusInternalServerError, err)
+		status, msg := errStatus(err, id)
+		httpError(w, status, msg)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -497,89 +488,69 @@ type stepResponse struct {
 	Accepted       bool   `json:"accepted"`
 }
 
-// handleStep is a hot endpoint: the request is parsed by the reflection-free
-// codec straight into pooled scratch and the response is rendered into a
-// pooled buffer flushed with one Write (see codec.go). The stdlib encoder
-// never runs on the success path.
-func (s *Server) handleStep(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	defer func() { s.latStep.Observe(time.Since(start)) }()
-	if !s.adm.step.admit(w) {
-		return
-	}
-	defer s.adm.step.release()
-	// Deadline-aware shedding: a request admitted with its whole budget
-	// already spent in the queue is refused, not half-served. A single step
-	// is sub-microsecond, so no context needs to flow further — the check at
-	// admission is the deadline.
-	if s.requestTimeout > 0 && time.Since(start) >= s.requestTimeout {
-		s.adm.step.noteDeadline()
-		shedResponse(w, http.StatusServiceUnavailable, errDeadlineBody)
-		return
-	}
+// enterHTTP starts a hot JSON exchange on ep: admission, then the body
+// (capped at limit) read into a pooled scratch whose decoder is reset over
+// it. It returns nil after answering the request itself — a shed, or a body
+// it could not read; otherwise the caller ends the exchange with leaveHTTP.
+func (s *Server) enterHTTP(w http.ResponseWriter, r *http.Request, ep *hotEndpoint, limit int64) *serveScratch {
 	sc := getScratch()
-	defer sc.release()
+	if status, _ := s.enter(ep, &sc.x); status != http.StatusOK {
+		sc.release()
+		shedResponse(w, status)
+		return nil
+	}
 	var err error
-	sc.body, err = readBody(sc.body, http.MaxBytesReader(w, r.Body, maxStepBodyBytes))
-	if err != nil {
-		httpError(w, decodeStatus(err), fmt.Errorf("reading request: %w", err))
-		return
+	if sc.body, err = readBody(sc.body, http.MaxBytesReader(w, r.Body, limit)); err != nil {
+		httpError(w, decodeStatus(err), "reading request: "+err.Error())
+		s.leaveHTTP(sc)
+		return nil
 	}
 	sc.dec.reset(sc.body)
-	var step wireStep
-	if err := sc.dec.decodeStepRequest(&step); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-		return
-	}
-	if step.itemErr != nil {
-		httpError(w, http.StatusBadRequest, step.itemErr)
-		return
-	}
-	decoded := time.Now()
-	s.stages.Decode.Observe(decoded.Sub(start))
-	res, err := s.pool.StepSeries(step.seriesID, step.outcome, step.qf)
-	if err != nil {
-		if errors.Is(err, core.ErrUnknownSeries) || errors.Is(err, core.ErrUnknownTrack) {
-			httpError(w, http.StatusNotFound, fmt.Errorf("unknown series %q", step.seriesID))
-			return
-		}
-		httpError(w, http.StatusInternalServerError, err)
-		return
-	}
-	resp, err := s.gateResult(step.seriesID, res)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
-		return
-	}
-	stepped := time.Now()
-	s.stages.Step.Observe(stepped.Sub(decoded))
-	sc.out, err = appendStepResponse(sc.out[:0], &resp)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
-		return
-	}
-	writeRaw(w, http.StatusOK, sc.out, "step")
-	s.stages.Encode.Observe(time.Since(stepped))
+	return sc
 }
 
-// gate runs one pool result through the simplex monitor and shapes the
-// response body shared by the single-step and batch endpoints.
-func (s *Server) gateResult(seriesID string, res core.Result) (stepResponse, error) {
-	decision, err := s.gate.Gate(res.Fused, res.Uncertainty)
+// leaveHTTP ends a hot JSON exchange after its response is written.
+func (s *Server) leaveHTTP(sc *serveScratch) {
+	s.finish(&sc.x)
+	sc.release()
+}
+
+// reply writes a hot JSON exchange's outcome: sc.out as the 200 body, or
+// the unified error shape for a failed exchange or a body that could not be
+// encoded (err).
+func reply(w http.ResponseWriter, sc *serveScratch, status int, msg string, err error, endpoint string) {
 	if err != nil {
-		return stepResponse{}, err
+		status, msg = http.StatusInternalServerError, err.Error()
 	}
-	return stepResponse{
-		SeriesID:       seriesID,
-		FusedOutcome:   res.Fused,
-		Uncertainty:    res.Uncertainty,
-		StatelessU:     res.Stateless.Uncertainty,
-		SeriesLen:      res.SeriesLen,
-		TotalSteps:     res.TotalSteps,
-		ModelVersion:   res.ModelVersion,
-		Countermeasure: decision.Level.Name,
-		Accepted:       decision.Accepted,
-	}, nil
+	if status != http.StatusOK {
+		httpError(w, status, msg)
+		return
+	}
+	writeRaw(w, status, sc.out, endpoint)
+}
+
+// handleStep is the JSON shell of the step core (pipeline.go): the body is
+// parsed by the reflection-free codec straight into pooled scratch and the
+// response rendered into a pooled buffer flushed with one Write (see
+// codec.go). The stdlib encoder never runs on the success path.
+func (s *Server) handleStep(w http.ResponseWriter, r *http.Request) {
+	sc := s.enterHTTP(w, r, &s.adm.step, maxStepBodyBytes)
+	if sc == nil {
+		return
+	}
+	defer s.leaveHTTP(sc)
+	var step wireStep
+	if err := sc.dec.decodeStepRequest(&step); err != nil {
+		httpError(w, http.StatusBadRequest, "decoding request: "+err.Error())
+		return
+	}
+	var resp stepResponse
+	status, msg := s.stepOne(&sc.x, &step, &resp)
+	var err error
+	if status == http.StatusOK {
+		sc.out, err = appendStepResponse(sc.out[:0], &resp)
+	}
+	reply(w, sc, status, msg, err, "step")
 }
 
 // batchStepRequest is the body of POST /v1/steps: a slice of per-series
@@ -606,128 +577,27 @@ type batchStepResponse struct {
 	Failed  int                 `json:"failed"`
 }
 
-// handleStepBatch is the hot batch endpoint: body, decoded items, pool
-// batch inputs/results, response structs, and the response bytes all live in
-// one pooled scratch, so a steady-state batch request allocates only the
-// per-item quality vectors the wrappers retain (slab-chunked, one
-// allocation per 256 items) plus transient error strings on failed items.
+// handleStepBatch is the JSON shell of the batch core: body, decoded
+// items, pool batch inputs/results, response structs, and the response
+// bytes all live in one pooled scratch, so a steady-state batch request
+// allocates only transient error strings on failed items (plus, once per
+// slab chunk, the quality vectors the wrappers retain).
 func (s *Server) handleStepBatch(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	defer func() { s.latBatch.Observe(time.Since(start)) }()
-	if !s.adm.batch.admit(w) {
+	sc := s.enterHTTP(w, r, &s.adm.batch, maxBatchBodyBytes)
+	if sc == nil {
 		return
 	}
-	defer s.adm.batch.release()
-	if s.requestTimeout > 0 && time.Since(start) >= s.requestTimeout {
-		s.adm.batch.noteDeadline()
-		shedResponse(w, http.StatusServiceUnavailable, errDeadlineBody)
-		return
-	}
-	sc := getScratch()
-	defer sc.release()
+	defer s.leaveHTTP(sc)
 	var err error
-	sc.body, err = readBody(sc.body, http.MaxBytesReader(w, r.Body, maxBatchBodyBytes))
-	if err != nil {
-		httpError(w, decodeStatus(err), fmt.Errorf("reading request: %w", err))
+	if sc.steps, err = sc.dec.decodeBatchRequest(sc.steps); err != nil {
+		httpError(w, http.StatusBadRequest, "decoding request: "+err.Error())
 		return
 	}
-	sc.dec.reset(sc.body)
-	sc.steps, err = sc.dec.decodeBatchRequest(sc.steps)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-		return
+	status, msg := s.stepBatch(r.Context(), &sc.x, sc)
+	if status == http.StatusOK {
+		sc.out, err = appendBatchStepResponse(sc.out[:0], &sc.resp)
 	}
-	if len(sc.steps) == 0 {
-		httpError(w, http.StatusBadRequest, errors.New("empty batch"))
-		return
-	}
-	decoded := time.Now()
-	s.stages.Decode.Observe(decoded.Sub(start))
-	// The decoder already fails past-the-cap arrays mid-parse
-	// (errBatchTooLarge), so this is an unreachable backstop kept for the
-	// day the decode path changes.
-	if len(sc.steps) > maxBatchItems {
-		httpError(w, http.StatusBadRequest,
-			fmt.Errorf("batch of %d exceeds limit %d", len(sc.steps), maxBatchItems))
-		return
-	}
-
-	n := len(sc.steps)
-	sc.resp.Results = xslice.Grow(sc.resp.Results, n)
-	sc.resp.OK, sc.resp.Failed = 0, 0
-	// stepBodies is sized up front: Step pointers into it must stay valid,
-	// so it may not grow once the first address is taken.
-	sc.stepBodies = xslice.Grow(sc.stepBodies, n)
-	sc.items = sc.items[:0]
-	sc.back = sc.back[:0]
-	for i := range sc.steps {
-		st := &sc.steps[i]
-		if st.itemErr != nil {
-			sc.resp.Results[i] = batchItemResponse{Status: http.StatusBadRequest, Error: st.itemErr.Error()}
-			continue
-		}
-		sc.items = append(sc.items, core.SeriesStepItem{
-			SeriesID: st.seriesID,
-			Outcome:  st.outcome,
-			Quality:  st.qf,
-		})
-		sc.back = append(sc.back, int32(i))
-	}
-
-	// The remaining -request-timeout budget rides a context through the
-	// batch stepper: items not yet stepped when it expires fail per-item
-	// with 503 below instead of holding the batch worker hostage. The
-	// context pair allocates, but only on the deadline-armed configuration —
-	// the default path stays on the background context for free.
-	ctx := r.Context()
-	if s.requestTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, start.Add(s.requestTimeout))
-		defer cancel()
-	}
-	sc.results = s.pool.StepBatchSeriesIntoCtx(ctx, sc.items, s.batchWorkers, sc.results)
-	for j := range sc.results {
-		br := &sc.results[j]
-		i := sc.back[j]
-		switch {
-		case br.Err == nil:
-			stepResp, err := s.gateResult(sc.steps[i].seriesID, br.Result)
-			if err != nil {
-				sc.resp.Results[i] = batchItemResponse{Status: http.StatusInternalServerError, Error: err.Error()}
-				continue
-			}
-			sc.stepBodies[i] = stepResp
-			sc.resp.Results[i] = batchItemResponse{Status: http.StatusOK, Step: &sc.stepBodies[i]}
-		case errors.Is(br.Err, core.ErrUnknownSeries), errors.Is(br.Err, core.ErrUnknownTrack):
-			sc.resp.Results[i] = batchItemResponse{
-				Status: http.StatusNotFound,
-				Error:  fmt.Sprintf("unknown series %q", sc.steps[i].seriesID),
-			}
-		case errors.Is(br.Err, context.DeadlineExceeded), errors.Is(br.Err, context.Canceled):
-			// The request deadline expired (or the client vanished)
-			// mid-batch: the item was shed, not failed — 503 tells the
-			// client a retry with a smaller batch or later can succeed.
-			sc.resp.Results[i] = batchItemResponse{Status: http.StatusServiceUnavailable, Error: br.Err.Error()}
-		default:
-			sc.resp.Results[i] = batchItemResponse{Status: http.StatusInternalServerError, Error: br.Err.Error()}
-		}
-	}
-	for i := range sc.resp.Results {
-		if sc.resp.Results[i].Status == http.StatusOK {
-			sc.resp.OK++
-		} else {
-			sc.resp.Failed++
-		}
-	}
-	stepped := time.Now()
-	s.stages.Step.Observe(stepped.Sub(decoded))
-	sc.out, err = appendBatchStepResponse(sc.out[:0], &sc.resp)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
-		return
-	}
-	writeRaw(w, http.StatusOK, sc.out, "steps")
-	s.stages.Encode.Observe(time.Since(stepped))
+	reply(w, sc, status, msg, err, "steps")
 }
 
 // drainBody consumes (and discards) the request body on endpoints whose
@@ -837,9 +707,9 @@ type errorResponse struct {
 // even an error storm does not allocate response bodies. All error bodies
 // share one write-failure limiter key: a client that vanishes mid-error is
 // one story regardless of which handler it was talking to.
-func httpError(w http.ResponseWriter, code int, err error) {
+func httpError(w http.ResponseWriter, code int, msg string) {
 	sc := getScratch()
-	sc.out = appendErrorResponse(sc.out[:0], err.Error())
+	sc.out = appendErrorResponse(sc.out[:0], msg)
 	writeRaw(w, code, sc.out, "error")
 	sc.release()
 }

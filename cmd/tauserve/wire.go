@@ -1,15 +1,16 @@
 // wire.go is the binary-transport face of the server: a TCP listener
 // speaking the internal/wire frame protocol alongside the HTTP endpoints.
-// Each connection gets one goroutine and one pooled scratch; requests
+// Each connection gets one goroutine and one pooled serveScratch; requests
 // pipeline (the client needn't wait for a response before sending the next
 // frame) and responses coalesce — the handler flushes only when the reader
 // has no buffered frame left or the output buffer is already large, so a
 // pipelined burst costs one write syscall, not one per frame.
 //
-// Semantics are shared with the JSON endpoints by construction: the wire
-// dispatch calls the same gateResult / joinFeedback helpers and the same
-// pool entry points the HTTP handlers use, and maps errors to the same
-// status codes. The differential test in wire_test.go pins the equivalence.
+// The frame handlers are codec shells over the request core in
+// pipeline.go, the one the JSON handlers use: the same admission,
+// deadlines, stage timing, shed events and error statuses apply to a frame
+// as to an HTTP request. The differential test in wire_test.go pins the
+// equivalence.
 package main
 
 import (
@@ -17,10 +18,11 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/http"
+	"strconv"
 	"sync"
 	"time"
 
-	"github.com/iese-repro/tauw/internal/core"
 	"github.com/iese-repro/tauw/internal/wire"
 	"github.com/iese-repro/tauw/internal/xslice"
 )
@@ -167,82 +169,13 @@ func (ws *wireServer) isDraining() bool {
 	return ws.draining
 }
 
-// wireScratch is one connection's reusable state: the frame reader's
-// buffer, the response buffer, the batch dispatch arrays, and the quality
-// slab. Checked out once per connection, not per frame.
-type wireScratch struct {
-	rbuf    []byte
-	out     []byte
-	steps   []wireStep
-	items   []core.SeriesStepItem
-	back    []int32
-	results []core.BatchResult
-	bodies  []stepResponse
-	status  []uint16
-
-	// slab backs decoded quality vectors exactly like the JSON decoder's
-	// (codec.go): the wrapper buffers retain each vector, so chunks are
-	// carved, never recycled — allocation amortises to one make per
-	// maxSlabChunkItems frames.
-	slab      []float64
-	nextChunk int
-}
-
-var wireScratchPool = sync.Pool{New: func() any {
-	return &wireScratch{rbuf: make([]byte, 4096), out: make([]byte, 0, 4096), nextChunk: 1}
-}}
-
-func (sc *wireScratch) release() {
-	for i := range sc.steps {
-		sc.steps[i] = wireStep{}
-	}
-	sc.steps = sc.steps[:0]
-	for i := range sc.items {
-		sc.items[i] = core.SeriesStepItem{}
-	}
-	sc.items = sc.items[:0]
-	sc.back = sc.back[:0]
-	for i := range sc.results {
-		sc.results[i] = core.BatchResult{}
-	}
-	sc.results = sc.results[:0]
-	for i := range sc.bodies {
-		sc.bodies[i] = stepResponse{}
-	}
-	sc.bodies = sc.bodies[:0]
-	sc.status = sc.status[:0]
-	sc.out = sc.out[:0]
-	wireScratchPool.Put(sc)
-}
-
-// qfVector carves the next quality vector out of the connection's slab
-// (same geometric-chunk discipline as the JSON decoder's qfVector).
-func (sc *wireScratch) qfVector() []float64 {
-	width := len(qualityIndex) + 1
-	if len(sc.slab) < width {
-		n := sc.nextChunk
-		if n < 1 {
-			n = 1
-		}
-		if n > maxSlabChunkItems {
-			n = maxSlabChunkItems
-		}
-		sc.slab = make([]float64, width*n)
-		sc.nextChunk = n * 8
-	}
-	qf := sc.slab[:width:width]
-	sc.slab = sc.slab[width:]
-	return qf
-}
-
 // handleConn is one connection's frame loop.
 func (ws *wireServer) handleConn(conn net.Conn) {
 	defer ws.wg.Done()
 	defer ws.forget(conn)
 	defer conn.Close()
-	sc := wireScratchPool.Get().(*wireScratch)
-	fr := wire.NewReader(conn, sc.rbuf)
-	out := sc.out[:0]
+	sc := getScratch()
+	fr := wire.NewReader(conn, sc.body)
 	for {
 		f, err := fr.Next()
 		if err != nil {
@@ -250,142 +183,149 @@ func (ws *wireServer) handleConn(conn net.Conn) {
 			// is pending and drop the connection (past a framing error the
 			// stream cannot be trusted, and a draining peer gets its
 			// completed responses either way).
-			if len(out) > 0 {
-				conn.Write(out)
+			if len(sc.out) > 0 {
+				ws.flush(conn, sc) //nolint:errcheck // the connection is closing anyway
 			}
 			break
 		}
-		out = ws.dispatch(&f, out, sc)
-		if len(out) > 0 && (fr.Buffered() == 0 || len(out) >= wireFlushThreshold) {
-			if _, err := conn.Write(out); err != nil {
+		ws.dispatch(&f, sc)
+		if len(sc.out) > 0 && (fr.Buffered() == 0 || len(sc.out) >= wireFlushThreshold) {
+			if ws.flush(conn, sc) != nil {
 				break
 			}
-			out = out[:0]
 		}
 	}
-	sc.rbuf = fr.Buffer()
-	sc.out = out
+	sc.body = fr.Buffer()
 	sc.release()
 }
 
-// appendWireError renders a FrameError response.
-func appendWireError(out []byte, reqID uint32, status int, msg string) []byte {
-	out, lenOff := wire.BeginFrame(out, wire.FrameError, reqID)
-	out = wire.AppendErrorPayload(out, status, msg)
-	return wire.EndFrame(out, lenOff)
+// flush writes the pending responses under the -write-timeout deadline, so
+// a peer that stops reading is dropped instead of holding the goroutine and
+// its scratch until shutdown.
+func (ws *wireServer) flush(conn net.Conn, sc *serveScratch) error {
+	if ws.srv.writeTimeout > 0 {
+		conn.SetWriteDeadline(time.Now().Add(ws.srv.writeTimeout))
+	}
+	_, err := conn.Write(sc.out)
+	sc.out = sc.out[:0]
+	return err
 }
 
-// dispatch handles one request frame, appending the response to out.
-func (ws *wireServer) dispatch(f *wire.Frame, out []byte, sc *wireScratch) []byte {
+// dispatch handles one request frame, appending its response frame to
+// sc.out: the payload the frame's shell rendered, or in its place an error
+// frame.
+func (ws *wireServer) dispatch(f *wire.Frame, sc *serveScratch) {
+	s := ws.srv
+	out, lenOff := wire.BeginFrame(sc.out, wire.ResponseType(f.Type), f.ReqID)
+	status, msg := http.StatusOK, ""
 	switch f.Type {
 	case wire.FrameHello:
-		resp, lenOff := wire.BeginFrame(out, wire.ResponseType(wire.FrameHello), f.ReqID)
-		resp = append(resp, ws.hello...)
-		return wire.EndFrame(resp, lenOff)
+		out = append(out, ws.hello...)
 	case wire.FrameOpenSeries:
-		return ws.dispatchOpenSeries(f, out)
-	case wire.FrameStep:
-		return ws.dispatchStep(f, out, sc)
-	case wire.FrameStepBatch:
-		return ws.dispatchStepBatch(f, out, sc)
-	case wire.FrameFeedback:
-		return ws.dispatchFeedback(f, out)
+		id, err := s.pool.OpenSeries()
+		if err != nil {
+			status, msg = errStatus(err, "")
+		}
+		out = wire.AppendSeriesIDPayload(out, id)
 	case wire.FrameCloseSeries:
-		return ws.dispatchCloseSeries(f, out)
+		id, err := wire.DecodeSeriesIDPayload(f.Payload)
+		if err != nil {
+			status, msg = http.StatusBadRequest, err.Error()
+		} else if err = s.pool.CloseSeries(bytesToString(id)); err != nil {
+			status, msg = errStatus(err, bytesToString(id))
+		}
+	case wire.FrameStep:
+		if status, msg = s.enter(&s.adm.step, &sc.x); status == http.StatusOK {
+			out, status, msg = ws.step(f.Payload, out, sc)
+			s.finish(&sc.x)
+		}
+	case wire.FrameStepBatch:
+		if status, msg = s.enter(&s.adm.batch, &sc.x); status == http.StatusOK {
+			out, status, msg = ws.stepBatch(f.Payload, out, sc)
+			s.finish(&sc.x)
+		}
+	case wire.FrameFeedback:
+		if status, msg = s.enter(&s.adm.feedback, &sc.x); status == http.StatusOK {
+			out, status, msg = ws.feedback(f.Payload, out)
+			s.finish(&sc.x)
+		}
 	default:
-		return appendWireError(out, f.ReqID, wire.StatusBadRequest,
-			fmt.Sprintf("unknown frame type %#x", f.Type))
+		status, msg = http.StatusBadRequest, "unknown frame type 0x"+strconv.FormatUint(uint64(f.Type), 16)
 	}
+	if status != http.StatusOK {
+		out, lenOff = wire.BeginFrame(out[:lenOff], wire.FrameError, f.ReqID)
+		out = wire.AppendErrorPayload(out, status, msg)
+	}
+	sc.out = wire.EndFrame(out, lenOff)
 }
 
-func (ws *wireServer) dispatchOpenSeries(f *wire.Frame, out []byte) []byte {
-	id, err := ws.srv.pool.OpenSeries()
-	if err != nil {
-		status := wire.StatusInternal
-		if errors.Is(err, core.ErrTrackBudget) {
-			status = wire.StatusUnavailable
-		}
-		return appendWireError(out, f.ReqID, status, err.Error())
-	}
-	resp, lenOff := wire.BeginFrame(out, wire.ResponseType(wire.FrameOpenSeries), f.ReqID)
-	resp = wire.AppendSeriesIDPayload(resp, id)
-	return wire.EndFrame(resp, lenOff)
-}
-
-func (ws *wireServer) dispatchCloseSeries(f *wire.Frame, out []byte) []byte {
-	idBytes, err := wire.DecodeSeriesIDPayload(f.Payload)
-	if err != nil {
-		return appendWireError(out, f.ReqID, wire.StatusBadRequest, err.Error())
-	}
-	id := bytesToString(idBytes)
-	if err := ws.srv.pool.CloseSeries(id); err != nil {
-		if errors.Is(err, core.ErrUnknownSeries) || errors.Is(err, core.ErrUnknownTrack) {
-			return appendWireError(out, f.ReqID, wire.StatusNotFound, fmt.Sprintf("unknown series %q", id))
-		}
-		return appendWireError(out, f.ReqID, wire.StatusInternal, err.Error())
-	}
-	resp, lenOff := wire.BeginFrame(out, wire.ResponseType(wire.FrameCloseSeries), f.ReqID)
-	return wire.EndFrame(resp, lenOff)
-}
-
-// decodeWireStepItem validates one decoded item view into a wireStep with
-// the JSON path's semantics: the factor count must match the channel set
-// plus pixel size, deficits live in [0,1], pixel size must be positive.
-// Semantic violations land in itemErr (per-item failure), mirroring the
-// JSON decoder's split between syntax and semantic errors.
-func (sc *wireScratch) decodeWireStepItem(v *wire.StepItemView, out *wireStep) {
+// decodeWireItem copies a decoded item view into out. Its quality vector
+// is carved from the scratch's slab and passes the JSON items' checkQuality;
+// a wrong factor count is the one item error only the positional wire
+// encoding can make.
+func (sc *serveScratch) decodeWireItem(v *wire.StepItemView, out *wireStep) {
 	*out = wireStep{seriesID: bytesToString(v.SeriesID), outcome: v.Outcome}
-	want := len(qualityNames) + 1
-	if v.NumQuality() != want {
+	if want := len(qualityNames) + 1; v.NumQuality() != want {
 		out.itemErr = fmt.Errorf("expected %d quality factors (deficit channels plus pixel size), got %d",
 			want, v.NumQuality())
 		return
 	}
-	qf := sc.qfVector()
-	for i := 0; i < want; i++ {
+	qf := sc.dec.qfVector()
+	for i := range qf {
 		qf[i] = v.QualityAt(i)
 	}
-	for i, val := range qf[:len(qualityNames)] {
-		// Negated so NaN (which satisfies no comparison) is rejected too.
-		if !(val >= 0 && val <= 1) {
-			out.itemErr = fmt.Errorf("quality factor %q = %g outside [0,1]", qualityNames[i], val)
-			return
-		}
+	if out.itemErr = checkQuality(qf); out.itemErr == nil {
+		out.qf = qf
 	}
-	if pixel := qf[want-1]; !(pixel > 0) {
-		out.itemErr = fmt.Errorf("pixel_size must be positive, got %g", pixel)
-		return
-	}
-	out.qf = qf
 }
 
-func (ws *wireServer) dispatchStep(f *wire.Frame, out []byte, sc *wireScratch) []byte {
-	start := time.Now()
-	defer func() { ws.srv.latStep.Observe(time.Since(start)) }()
-	v, rest, err := wire.DecodeStepItemView(f.Payload)
+// step is the wire shell of the step core: one item in, a step result out.
+func (ws *wireServer) step(p, out []byte, sc *serveScratch) ([]byte, int, string) {
+	v, rest, err := wire.DecodeStepItemView(p)
 	if err != nil || len(rest) != 0 {
-		return appendWireError(out, f.ReqID, wire.StatusBadRequest, "malformed step payload")
+		return out, http.StatusBadRequest, "malformed step payload"
 	}
 	var step wireStep
-	sc.decodeWireStepItem(&v, &step)
-	if step.itemErr != nil {
-		return appendWireError(out, f.ReqID, wire.StatusBadRequest, step.itemErr.Error())
+	var resp stepResponse
+	sc.decodeWireItem(&v, &step)
+	status, msg := ws.srv.stepOne(&sc.x, &step, &resp)
+	if status == http.StatusOK {
+		out = ws.appendStepResult(out, &resp)
 	}
-	res, err := ws.srv.pool.StepSeries(step.seriesID, step.outcome, step.qf)
+	return out, status, msg
+}
+
+// stepBatch is the wire shell of the batch core: the items decoded into
+// sc.steps, one status (and result or message) per item out.
+func (ws *wireServer) stepBatch(p, out []byte, sc *serveScratch) ([]byte, int, string) {
+	n, p, err := wire.DecodeBatchHeader(p)
 	if err != nil {
-		if errors.Is(err, core.ErrUnknownSeries) || errors.Is(err, core.ErrUnknownTrack) {
-			return appendWireError(out, f.ReqID, wire.StatusNotFound,
-				fmt.Sprintf("unknown series %q", step.seriesID))
+		return out, http.StatusBadRequest, err.Error()
+	}
+	sc.steps = xslice.Grow(sc.steps, n)
+	for i := 0; i < n && err == nil; i++ {
+		var v wire.StepItemView
+		if v, p, err = wire.DecodeStepItemView(p); err == nil {
+			sc.decodeWireItem(&v, &sc.steps[i])
 		}
-		return appendWireError(out, f.ReqID, wire.StatusInternal, err.Error())
 	}
-	resp, err := ws.srv.gateResult(step.seriesID, res)
-	if err != nil {
-		return appendWireError(out, f.ReqID, wire.StatusInternal, err.Error())
+	if err != nil || len(p) != 0 {
+		return out, http.StatusBadRequest, "malformed batch payload"
 	}
-	frame, lenOff := wire.BeginFrame(out, wire.ResponseType(wire.FrameStep), f.ReqID)
-	frame = ws.appendStepResult(frame, &resp)
-	return wire.EndFrame(frame, lenOff)
+	status, msg := ws.srv.stepBatch(context.Background(), &sc.x, sc)
+	if status != http.StatusOK {
+		return out, status, msg
+	}
+	out, _ = wire.AppendBatchHeader(out, n) // n passed the same cap in DecodeBatchHeader
+	for i := range sc.resp.Results {
+		r := &sc.resp.Results[i]
+		if r.Status != http.StatusOK {
+			out = wire.AppendBatchItemResult(out, r.Status, nil, 0, r.Error)
+			continue
+		}
+		out = ws.appendStepResult(wire.AppendBatchItemStatus(out, r.Status), r.Step)
+	}
+	return out, http.StatusOK, ""
 }
 
 // appendStepResult renders the shared stepResponse shape as a wire step
@@ -403,111 +343,24 @@ func (ws *wireServer) appendStepResult(dst []byte, r *stepResponse) []byte {
 	return wire.AppendStepResultPayload(dst, &res, ws.levelIdx[r.Countermeasure])
 }
 
-func (ws *wireServer) dispatchStepBatch(f *wire.Frame, out []byte, sc *wireScratch) []byte {
-	start := time.Now()
-	defer func() { ws.srv.latBatch.Observe(time.Since(start)) }()
-	n, p, err := wire.DecodeBatchHeader(f.Payload)
+// feedback is the wire shell of the ground-truth core.
+func (ws *wireServer) feedback(p, out []byte) ([]byte, int, string) {
+	id, step, truth, err := wire.DecodeFeedbackRequestPayload(p)
 	if err != nil {
-		return appendWireError(out, f.ReqID, wire.StatusBadRequest, err.Error())
+		return out, http.StatusBadRequest, "malformed feedback payload"
 	}
-	if n == 0 {
-		return appendWireError(out, f.ReqID, wire.StatusBadRequest, "empty batch")
-	}
-	sc.steps = sc.steps[:0]
-	for i := 0; i < n; i++ {
-		var v wire.StepItemView
-		if v, p, err = wire.DecodeStepItemView(p); err != nil {
-			return appendWireError(out, f.ReqID, wire.StatusBadRequest, "malformed batch payload")
-		}
-		var step wireStep
-		sc.decodeWireStepItem(&v, &step)
-		sc.steps = append(sc.steps, step)
-	}
-	if len(p) != 0 {
-		return appendWireError(out, f.ReqID, wire.StatusBadRequest, "malformed batch payload")
-	}
-
-	// From here the flow is the JSON batch handler's: route valid items to
-	// the pool batch, scatter per-item results by the back index, one
-	// status per item.
-	sc.items = sc.items[:0]
-	sc.back = sc.back[:0]
-	sc.bodies = xslice.Grow(sc.bodies, n)
-	sc.status = xslice.Grow(sc.status, n)
-	for i := range sc.steps {
-		st := &sc.steps[i]
-		if st.itemErr != nil {
-			sc.status[i] = wire.StatusBadRequest
-			continue
-		}
-		sc.status[i] = 0 // resolved by the scatter pass below
-		sc.items = append(sc.items, core.SeriesStepItem{
-			SeriesID: st.seriesID,
-			Outcome:  st.outcome,
-			Quality:  st.qf,
+	var resp feedbackResponse
+	status, msg := ws.srv.joinFeedback(bytesToString(id), step, truth, &resp)
+	if status == http.StatusOK {
+		out = wire.AppendFeedbackResultPayload(out, &wire.FeedbackResult{
+			Step:         resp.Step,
+			Correct:      resp.Correct,
+			FusedOutcome: resp.FusedOutcome,
+			Uncertainty:  resp.Uncertainty,
+			TAQIMLeaf:    resp.TAQIMLeaf,
+			ModelVersion: resp.ModelVersion,
+			DriftAlarm:   resp.DriftAlarm,
 		})
-		sc.back = append(sc.back, int32(i))
 	}
-	sc.results = ws.srv.pool.StepBatchSeriesInto(sc.items, ws.srv.batchWorkers, sc.results)
-	for j := range sc.results {
-		br := &sc.results[j]
-		i := sc.back[j]
-		switch {
-		case br.Err == nil:
-			resp, gerr := ws.srv.gateResult(sc.steps[i].seriesID, br.Result)
-			if gerr != nil {
-				sc.status[i] = wire.StatusInternal
-				sc.steps[i].itemErr = gerr
-				continue
-			}
-			sc.status[i] = wire.StatusOK
-			sc.bodies[i] = resp
-		case errors.Is(br.Err, core.ErrUnknownSeries), errors.Is(br.Err, core.ErrUnknownTrack):
-			sc.status[i] = wire.StatusNotFound
-			sc.steps[i].itemErr = fmt.Errorf("unknown series %q", sc.steps[i].seriesID)
-		default:
-			sc.status[i] = wire.StatusInternal
-			sc.steps[i].itemErr = br.Err
-		}
-	}
-
-	frame, lenOff := wire.BeginFrame(out, wire.ResponseType(wire.FrameStepBatch), f.ReqID)
-	frame, err = wire.AppendBatchHeader(frame, n)
-	if err != nil {
-		return appendWireError(frame[:lenOff], f.ReqID, wire.StatusInternal, err.Error())
-	}
-	for i := range sc.steps {
-		if sc.status[i] == wire.StatusOK {
-			frame = wire.AppendBatchItemStatus(frame, wire.StatusOK)
-			frame = ws.appendStepResult(frame, &sc.bodies[i])
-			continue
-		}
-		frame = wire.AppendBatchItemResult(frame, int(sc.status[i]), nil, 0, sc.steps[i].itemErr.Error())
-	}
-	return wire.EndFrame(frame, lenOff)
-}
-
-func (ws *wireServer) dispatchFeedback(f *wire.Frame, out []byte) []byte {
-	start := time.Now()
-	defer func() { ws.srv.latFeedback.Observe(time.Since(start)) }()
-	idBytes, step, truth, err := wire.DecodeFeedbackRequestPayload(f.Payload)
-	if err != nil {
-		return appendWireError(out, f.ReqID, wire.StatusBadRequest, "malformed feedback payload")
-	}
-	resp, status, err := ws.srv.joinFeedback(bytesToString(idBytes), step, truth)
-	if err != nil {
-		return appendWireError(out, f.ReqID, status, err.Error())
-	}
-	res := wire.FeedbackResult{
-		Step:         resp.Step,
-		Correct:      resp.Correct,
-		FusedOutcome: resp.FusedOutcome,
-		Uncertainty:  resp.Uncertainty,
-		TAQIMLeaf:    resp.TAQIMLeaf,
-		ModelVersion: resp.ModelVersion,
-		DriftAlarm:   resp.DriftAlarm,
-	}
-	frame, lenOff := wire.BeginFrame(out, wire.ResponseType(wire.FrameFeedback), f.ReqID)
-	frame = wire.AppendFeedbackResultPayload(frame, &res)
-	return wire.EndFrame(frame, lenOff)
+	return out, status, msg
 }

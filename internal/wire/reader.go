@@ -38,8 +38,10 @@ func (fr *Reader) Buffer() []byte { return fr.buf }
 // else in flight, so now is the moment to flush pending responses.
 func (fr *Reader) Buffered() int { return fr.end - fr.start }
 
-// fill reads more bytes until at least need are buffered, compacting or
-// growing the buffer as required.
+// fill reads more bytes until at least need are buffered, compacting the
+// buffer as required and growing it only as bytes arrive: a full buffer at
+// most doubles per step and never past need, so a header that announces a
+// huge payload costs memory only for the bytes that actually show up.
 func (fr *Reader) fill(need int) error {
 	if fr.end-fr.start >= need {
 		return nil
@@ -49,14 +51,13 @@ func (fr *Reader) fill(need int) error {
 		fr.end -= fr.start
 		fr.start = 0
 	}
-	if need > len(fr.buf) {
-		grown := make([]byte, roundUp(need))
-		copy(grown, fr.buf[fr.start:fr.end])
-		fr.end -= fr.start
-		fr.start = 0
-		fr.buf = grown
-	}
 	for fr.end-fr.start < need {
+		if fr.end == len(fr.buf) {
+			grown := make([]byte, min(2*len(fr.buf), need))
+			fr.end = copy(grown, fr.buf[fr.start:fr.end])
+			fr.start = 0
+			fr.buf = grown
+		}
 		n, err := fr.r.Read(fr.buf[fr.end:])
 		fr.end += n
 		if err != nil {
@@ -70,14 +71,6 @@ func (fr *Reader) fill(need int) error {
 		}
 	}
 	return nil
-}
-
-func roundUp(n int) int {
-	size := 4096
-	for size < n {
-		size *= 2
-	}
-	return size
 }
 
 // Next returns the next frame. The payload aliases the internal buffer and

@@ -79,15 +79,16 @@ const MaxBatchItems = 4096
 // HTTP endpoints' codes, so clients translate failures identically on both
 // transports.
 const (
-	StatusOK             = 200
-	StatusBadRequest     = 400
-	StatusNotFound       = 404
-	StatusConflict       = 409
-	StatusGone           = 410
-	StatusTooLarge       = 413
-	StatusInternal       = 500
-	StatusNotImplemented = 501
-	StatusUnavailable    = 503
+	StatusOK              = 200
+	StatusBadRequest      = 400
+	StatusNotFound        = 404
+	StatusConflict        = 409
+	StatusGone            = 410
+	StatusTooLarge        = 413
+	StatusTooManyRequests = 429
+	StatusInternal        = 500
+	StatusNotImplemented  = 501
+	StatusUnavailable     = 503
 )
 
 // Error is a failed request as reported by the server.

@@ -89,6 +89,35 @@ func TestReaderGrowth(t *testing.T) {
 	}
 }
 
+// TestReaderGrowsOnlyAsBytesArrive sends a header announcing a MaxPayload
+// frame followed by 100 bytes: the buffer must stay at its initial size
+// instead of being sized by the length prefix, since a connection keeps
+// (and then pools) whatever buffer its reader grew.
+func TestReaderGrowsOnlyAsBytesArrive(t *testing.T) {
+	hdr, _ := BeginFrame(nil, FrameStepBatch, 1)
+	putU32(hdr, uint32(headerAfterLen+MaxPayload))
+	stream := append(hdr, make([]byte, 100)...)
+	fr := NewReader(bytes.NewReader(stream), make([]byte, 4096))
+	if _, err := fr.Next(); err != io.ErrUnexpectedEOF {
+		t.Fatalf("truncated frame: %v, want io.ErrUnexpectedEOF", err)
+	}
+	if got := len(fr.Buffer()); got != 4096 {
+		t.Fatalf("buffer grew to %d bytes on a 112-byte stream, want 4096", got)
+	}
+
+	// Bytes that do arrive still grow the buffer, by doubling, to the
+	// frame's exact size.
+	payload := bytes.Repeat([]byte{0xCD}, 10000)
+	fr = NewReader(bytes.NewReader(buildFrame(FrameStepBatch, 2, payload)), make([]byte, 4096))
+	f, err := fr.Next()
+	if err != nil || !bytes.Equal(f.Payload, payload) {
+		t.Fatalf("grown frame: %v (%d payload bytes)", err, len(f.Payload))
+	}
+	if got, want := len(fr.Buffer()), HeaderSize+len(payload); got != want {
+		t.Fatalf("buffer = %d bytes, want the frame size %d", got, want)
+	}
+}
+
 func TestReaderHeaderViolations(t *testing.T) {
 	valid := buildFrame(FrameStep, 1, []byte("x"))
 	corrupt := func(mutate func([]byte)) []byte {
