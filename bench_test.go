@@ -8,9 +8,12 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"github.com/iese-repro/tauw/internal/augment"
 	"github.com/iese-repro/tauw/internal/core"
+	"github.com/iese-repro/tauw/internal/ddm"
 	"github.com/iese-repro/tauw/internal/eval"
 	"github.com/iese-repro/tauw/internal/fusion"
+	"github.com/iese-repro/tauw/internal/gtsrb"
 	"github.com/iese-repro/tauw/internal/monitor"
 	"github.com/iese-repro/tauw/internal/stats"
 	"github.com/iese-repro/tauw/internal/uw"
@@ -653,21 +656,61 @@ func BenchmarkQIMFit(b *testing.B) {
 	}
 }
 
-// BenchmarkDDMTraining measures softmax-regression training on a
-// study-scale sample count (reported as the DDM-training context number).
+// studySamples synthesises a DDM training set shaped like the study's: the
+// 43 GTSRB classes as 32-feature embeddings under the paper's
+// per-deficit training variants, at random sign sizes.
+func studySamples(b *testing.B, n int) []ddm.Sample {
+	b.Helper()
+	fm, err := ddm.NewFeatureModel(ddm.DefaultFeatureConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	variants := augment.TrainingVariants()
+	rng := rand.New(rand.NewPCG(23, 29))
+	out := make([]ddm.Sample, n)
+	for i := range out {
+		class := i % gtsrb.NumClasses
+		x, err := fm.Observe(class, 15+235*rng.Float64(), variants[rng.IntN(len(variants))], nil, rng)
+		if err != nil {
+			b.Fatal(err)
+		}
+		out[i] = ddm.Sample{X: x, Class: class}
+	}
+	return out
+}
+
+// BenchmarkDDMTraining measures ddm.TrainSoftmax alone, with the tiny
+// preset's training configuration, on a study-shaped set of 8192 samples
+// (the tiny study trains on ~55k).
 func BenchmarkDDMTraining(b *testing.B) {
-	st := study(b)
-	_ = st // ensures comparable process state with the other benches
+	samples := studySamples(b, 8192)
+	cfg := eval.TinyConfig().Train
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cfg := eval.TinyConfig()
-		cfg.NumSeries = 60
-		cfg.TrainAugmentations = 2
-		cfg.EvalAugmentations = 2
-		cfg.Train.Epochs = 2
-		if _, err := eval.BuildStudy(cfg); err != nil {
+		if _, err := ddm.TrainSoftmax(samples, gtsrb.NumClasses, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
+
+// BenchmarkSoftmaxPredict measures one hard decision of a trained
+// study-shaped softmax DDM, the call the study makes per observed frame.
+func BenchmarkSoftmaxPredict(b *testing.B) {
+	samples := studySamples(b, 8192)
+	model, err := ddm.TrainSoftmax(samples, gtsrb.NumClasses, eval.TinyConfig().Train)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchClass, err = model.Predict(samples[i%len(samples)].X)
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchClass keeps BenchmarkSoftmaxPredict's result live.
+var benchClass int

@@ -543,8 +543,11 @@ func serveUntilShutdown(ctx context.Context, restoreSignals func(), httpServer *
 // joinErrors returns both errors, wrapped so errors.Is and errors.As see
 // each, or b alone when a is nil. It stands in for errors.Join, whose code
 // would shift every package linked after package errors by 544 bytes, 32
-// modulo a cache line: on a 2-vCPU Intel Xeon VM that shift alone made the
-// start-up calibration (the ddm and dtree training loops) ~15% slower.
+// modulo a cache line. On a 2-vCPU Intel Xeon VM that shift alone made the
+// start-up calibration ~15% slower while the softmax trainer ran one scalar
+// chain per class. With the blocked kernel, errors.Join still read slower
+// from exec to first /readyz 200: medians +7.2% and +1.2% in two sets of 10
+// alternating pairs, lower in only 4 and 5 of them.
 func joinErrors(a, b error) error {
 	if a == nil {
 		return b

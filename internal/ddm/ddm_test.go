@@ -287,6 +287,12 @@ func TestSoftmaxSerialisationRoundTrip(t *testing.T) {
 	if _, err := LoadSoftmax([]byte(`{"W":[[1],[1]],"Dim":3,"Classes":2}`)); err == nil {
 		t.Error("row-width mismatch must fail")
 	}
+	if _, err := LoadSoftmax([]byte(`{"W":[],"Dim":0,"Classes":0}`)); err == nil {
+		t.Error("fewer than two classes must fail")
+	}
+	if _, err := LoadSoftmax([]byte(`{"W":[[1],[1]],"Dim":0,"Classes":2}`)); err == nil {
+		t.Error("zero features must fail")
+	}
 }
 
 func TestTrainMLPLearnsBlobs(t *testing.T) {

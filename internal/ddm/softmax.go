@@ -81,37 +81,42 @@ type Softmax struct {
 // NumClasses implements Classifier.
 func (s *Softmax) NumClasses() int { return s.Classes }
 
-// logits computes the raw class scores for x.
-func (s *Softmax) logits(x []float64) []float64 {
-	out := make([]float64, s.Classes)
-	for c := 0; c < s.Classes; c++ {
-		w := s.W[c]
-		acc := w[s.Dim] // bias
-		for i, xi := range x {
-			acc += w[i] * xi
-		}
-		out[c] = acc
-	}
-	return out
-}
-
 // Scores implements Classifier.
 func (s *Softmax) Scores(x []float64) ([]float64, error) {
 	if len(x) != s.Dim {
 		return nil, fmt.Errorf("ddm: input has %d features, model wants %d", len(x), s.Dim)
 	}
-	z := s.logits(x)
+	z := make([]float64, s.Classes)
+	logitsInto(s.W, x, z)
 	softmaxInPlace(z)
 	return z, nil
 }
 
-// Predict implements Classifier.
+// predictChunk is how many class scores Predict holds on its stack at once;
+// a model with more classes is scored chunk by chunk.
+const predictChunk = 64
+
+// Predict implements Classifier. It makes no allocation.
 func (s *Softmax) Predict(x []float64) (int, error) {
 	if len(x) != s.Dim {
 		return 0, fmt.Errorf("ddm: input has %d features, model wants %d", len(x), s.Dim)
 	}
-	z := s.logits(x)
-	return argmax(z), nil
+	var buf [predictChunk]float64
+	best, top := 0, 0.0
+	for c := 0; c < s.Classes; c += len(buf) {
+		z := buf[:min(len(buf), s.Classes-c)]
+		logitsInto(s.W[c:], x, z)
+		if c == 0 {
+			top = z[0]
+		}
+		// argmax's scan, first maximum wins, carried across chunks.
+		for j, v := range z {
+			if v > top {
+				best, top = c+j, v
+			}
+		}
+	}
+	return best, nil
 }
 
 // TrainSoftmax fits a Softmax classifier on the samples.
@@ -153,35 +158,42 @@ func TrainSoftmax(samples []Sample, classes int, cfg TrainConfig) (*Softmax, err
 	for c := range grad {
 		grad[c] = make([]float64, dim+1)
 	}
+	// A minibatch is gathered feature-major: xt[i*batch+k] is feature i of
+	// its k-th sample, with row dim held at 1 so the bias gradient is one
+	// more product, and rt[c*batch+k] is that sample's residual p[c] minus
+	// 1 for its true class.
+	batch := min(cfg.BatchSize, len(samples))
+	xt := make([]float64, (dim+1)*batch)
+	rt := make([]float64, classes*batch)
+	for k := range batch {
+		xt[dim*batch+k] = 1
+	}
 	probs := make([]float64, classes)
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		lr := cfg.LearningRate * (1 - 0.9*float64(epoch)/float64(cfg.Epochs))
 		rng.Shuffle(len(idx), func(a, b int) { idx[a], idx[b] = idx[b], idx[a] })
 		var epochLoss float64
 		for start := 0; start < len(idx); start += cfg.BatchSize {
-			end := min(start+cfg.BatchSize, len(idx))
-			for c := range grad {
-				clearSlice(grad[c])
-			}
-			for _, si := range idx[start:end] {
-				s := samples[si]
-				z := model.logits(s.X)
-				copy(probs, z)
-				softmaxInPlace(probs)
-				epochLoss += -math.Log(math.Max(probs[s.Class], 1e-12))
-				for c := 0; c < classes; c++ {
-					g := probs[c]
-					if c == s.Class {
-						g -= 1
-					}
-					gc := grad[c]
-					for i, xi := range s.X {
-						gc[i] += g * xi
-					}
-					gc[dim] += g
+			rows := idx[start:min(start+cfg.BatchSize, len(idx))]
+			// Gathering first lets the loads of all the batch's scattered
+			// rows overlap; the passes below then find them in cache.
+			for k, si := range rows {
+				for i, v := range samples[si].X {
+					xt[i*batch+k] = v
 				}
 			}
-			bs := float64(end - start)
+			for k, si := range rows {
+				s := samples[si]
+				logitsInto(model.W, s.X, probs)
+				softmaxInPlace(probs)
+				epochLoss += -math.Log(math.Max(probs[s.Class], 1e-12))
+				probs[s.Class] -= 1
+				for c, r := range probs {
+					rt[c*batch+k] = r
+				}
+			}
+			gradInto(grad, rt, xt, batch, len(rows))
+			bs := float64(len(rows))
 			for c := 0; c < classes; c++ {
 				wc, vc, gc := model.W[c], vel[c], grad[c]
 				for i := range wc {
@@ -198,6 +210,93 @@ func TrainSoftmax(samples []Sample, classes int, cfg TrainConfig) (*Softmax, err
 	return model, nil
 }
 
+// The kernels below reproduce the scalar trainer bit for bit: every score
+// and every gradient sum performs the same additions in the same order,
+// each written as acc += a*b so that a compiler fusing multiply-adds fuses
+// both versions alike. They only block the work so that independent sums
+// run side by side instead of one latency-bound chain at a time.
+
+// quad returns the four class rows of the block that starts at c among n
+// classes. A block that would run past the last class is moved back to end
+// on it, overlapping the block before, whose overlapped sums it recomputes to
+// the same bits; with fewer than four classes the last one fills the spare
+// slots.
+func quad(c, n int) (c0, c1, c2, c3 int) {
+	c0 = max(0, min(c, n-4))
+	return c0, min(c0+1, n-1), min(c0+2, n-1), min(c0+3, n-1)
+}
+
+// logitsInto writes into z the raw scores for x of the classes whose weight
+// rows are w[:len(z)], four classes per pass over x.
+//
+//tauw:noescape
+func logitsInto(w [][]float64, x, z []float64) {
+	for c := 0; c < len(z); c += 4 {
+		c0, c1, c2, c3 := quad(c, len(z))
+		z[c0], z[c1], z[c2], z[c3] = logits4(w[c0], w[c1], w[c2], w[c3], x)
+	}
+}
+
+// logits4 returns the scores for x of four weight rows: each starts from its
+// row's bias (the last weight) and adds w[i]*x[i] in feature order.
+//
+//tauw:noescape
+func logits4(w0, w1, w2, w3, x []float64) (z0, z1, z2, z3 float64) {
+	n := len(x)
+	z0, z1, z2, z3 = w0[n], w1[n], w2[n], w3[n]
+	w0, w1, w2, w3 = w0[:n], w1[:n], w2[:n], w3[:n]
+	for i, xi := range x {
+		z0 += w0[i] * xi
+		z1 += w1[i] * xi
+		z2 += w2[i] * xi
+		z3 += w3[i] * xi
+	}
+	return z0, z1, z2, z3
+}
+
+// gradInto sets grad[c][i] to the sum over a minibatch's first m samples of
+// rt[c*stride+k] * xt[i*stride+k], starting from zero and adding in sample
+// order: the sums the scalar trainer builds one sample at a time. It works
+// on blocks of four classes by two features, eight independent sums per pass
+// over the batch.
+//
+//tauw:noescape
+func gradInto(grad [][]float64, rt, xt []float64, stride, m int) {
+	width := len(grad[0])
+	for c := 0; c < len(grad); c += 4 {
+		c0, c1, c2, c3 := quad(c, len(grad))
+		r0 := rt[c0*stride:][:m]
+		r1 := rt[c1*stride:][:m]
+		r2 := rt[c2*stride:][:m]
+		r3 := rt[c3*stride:][:m]
+		g0, g1, g2, g3 := grad[c0], grad[c1], grad[c2], grad[c3]
+		for i := 0; i < width; i += 2 {
+			// Like quad's last block, a last feature pair overlaps the one
+			// before it when the width is odd.
+			i0 := min(i, width-2)
+			i1 := i0 + 1
+			x0 := xt[i0*stride:][:m]
+			x1 := xt[i1*stride:][:m]
+			var s00, s01, s10, s11, s20, s21, s30, s31 float64
+			for k, r := range r0 {
+				a, b := x0[k], x1[k]
+				s00 += r * a
+				s01 += r * b
+				s10 += r1[k] * a
+				s11 += r1[k] * b
+				s20 += r2[k] * a
+				s21 += r2[k] * b
+				s30 += r3[k] * a
+				s31 += r3[k] * b
+			}
+			g0[i0], g0[i1] = s00, s01
+			g1[i0], g1[i1] = s10, s11
+			g2[i0], g2[i1] = s20, s21
+			g3[i0], g3[i1] = s30, s31
+		}
+	}
+}
+
 // MarshalJSON serialises the model.
 func (s *Softmax) MarshalJSON() ([]byte, error) {
 	type alias Softmax
@@ -209,6 +308,9 @@ func LoadSoftmax(data []byte) (*Softmax, error) {
 	var s Softmax
 	if err := json.Unmarshal(data, &s); err != nil {
 		return nil, fmt.Errorf("ddm: decode softmax: %w", err)
+	}
+	if s.Classes < 2 || s.Dim < 1 {
+		return nil, fmt.Errorf("ddm: corrupt softmax: %d classes over %d features, need at least 2 classes and 1 feature", s.Classes, s.Dim)
 	}
 	if s.Classes != len(s.W) {
 		return nil, fmt.Errorf("ddm: corrupt softmax: %d classes but %d weight rows", s.Classes, len(s.W))
@@ -247,10 +349,4 @@ func argmax(z []float64) int {
 		}
 	}
 	return best
-}
-
-func clearSlice(s []float64) {
-	for i := range s {
-		s[i] = 0
-	}
 }

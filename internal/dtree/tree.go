@@ -11,7 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Criterion selects the impurity measure used during growth.
@@ -208,7 +208,17 @@ func (g *grower) bestSplit(idx []int, events int) (feature int, threshold, gain 
 		for j, i := range idx {
 			pairs[j] = pair{v: g.x[i][f], y: g.y[i]}
 		}
-		sort.Slice(pairs, func(a, b int) bool { return pairs[a].v < pairs[b].v })
+		// Ordered by < alone: cmp.Compare would also move NaN values, and
+		// with them the splits of a tree grown on rows that hold NaN.
+		slices.SortFunc(pairs, func(a, b pair) int {
+			switch {
+			case a.v < b.v:
+				return -1
+			case b.v < a.v:
+				return 1
+			}
+			return 0
+		})
 		leftEvents := 0
 		for j := 0; j < count-1; j++ {
 			if pairs[j].y {

@@ -347,3 +347,63 @@ func TestLeafCountsPartition(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestFitTieHeavyRulesPinned fits a tree on features quantised to a few
+// levels, so every column sort is dominated by ties, and requires the exact
+// rules the tree has always produced on it: a split falls only between
+// distinct values, so the sort's placement of tied values must move no
+// threshold and no count.
+func TestFitTieHeavyRulesPinned(t *testing.T) {
+	rng := rand.New(rand.NewPCG(41, 43))
+	x := make([][]float64, 800)
+	y := make([]bool, len(x))
+	for i := range x {
+		x[i] = []float64{
+			float64(rng.IntN(4)) / 3,
+			float64(rng.IntN(3)),
+			float64(rng.IntN(5)) * 0.25,
+		}
+		p := 0.05 + 0.3*x[i][0] + 0.15*x[i][1]*x[i][2]
+		y[i] = rng.Float64() < p
+	}
+	tr, err := Fit(x, y, Config{MaxDepth: 4, MinLeafSamples: 15})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Calibrate(x, y, 40, cpBound); err != nil {
+		t.Fatal(err)
+	}
+	got := tr.Rules([]string{"rain", "blur", "dirt"})
+	const want = `if rain <= 0.5:
+  if blur <= 0.5:
+    if dirt <= 0.625:
+      => leaf 0: u<=0.237488 (train 7/76, calib 7/76)
+    else:  # dirt > 0.625
+      => leaf 1: u<=0.220427 (train 3/54, calib 3/54)
+  else:  # blur > 0.5
+    if dirt <= 0.375:
+      if dirt <= 0.125:
+        => leaf 2: u<=0.252087 (train 4/53, calib 4/53)
+      else:  # dirt > 0.125
+        => leaf 3: u<=0.362944 (train 9/55, calib 9/55)
+    else:  # dirt > 0.375
+      if rain <= 0.166667:
+        => leaf 4: u<=0.397156 (train 21/89, calib 21/89)
+      else:  # rain > 0.166667
+        => leaf 5: u<=0.524188 (train 29/83, calib 29/83)
+else:  # rain > 0.5
+  if dirt <= 0.125:
+    => leaf 6: u<=0.404262 (train 19/81, calib 19/81)
+  else:  # dirt > 0.125
+    if blur <= 0.5:
+      => leaf 7: u<=0.523357 (train 36/99, calib 36/99)
+    else:  # blur > 0.5
+      if dirt <= 0.625:
+        => leaf 8: u<=0.578564 (train 45/106, calib 45/106)
+      else:  # dirt > 0.625
+        => leaf 9: u<=0.652258 (train 52/104, calib 52/104)
+`
+	if got != want {
+		t.Errorf("rules changed:\n%s", got)
+	}
+}
