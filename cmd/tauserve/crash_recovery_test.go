@@ -8,6 +8,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net"
 	"net/http"
@@ -102,7 +103,7 @@ func startServe(t *testing.T, bin, addr, stateDir string, extra ...string) *serv
 
 func (p *serveProc) waitReady(t *testing.T, base string) {
 	t.Helper()
-	deadline := time.Now().Add(90 * time.Second) // includes calibration
+	deadline := time.Now().Add(90 * time.Second) // generous for -race runners
 	for time.Now().Before(deadline) {
 		resp, err := http.Get(base + "/readyz")
 		if err == nil {
@@ -330,5 +331,55 @@ func TestStateDirFlagValidation(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "state dir") && !strings.Contains(string(out), "state-dir") {
 		t.Fatalf("unhelpful failure output: %v\n%s", err, out)
+	}
+}
+
+// TestStateDirModelMismatch binds a state dir to the model that wrote it:
+// state written under -preset quick must not restore into a -preset tiny
+// server (both taQIMs have three leaves, so nothing else would notice),
+// and must still restore under quick.
+func TestStateDirModelMismatch(t *testing.T) {
+	if testing.Short() {
+		t.Skip("process-level test")
+	}
+	bin := buildServeBinary(t)
+	stateDir := t.TempDir()
+	addr := freeAddr(t)
+	base := "http://" + addr
+
+	p1 := startServe(t, bin, addr, stateDir, "-preset", "quick")
+	p1.waitReady(t, base)
+	var ns newSeriesResponse
+	postJSONBody(t, base+"/v1/series", struct{}{}, &ns)
+	for i := 0; i < 3; i++ {
+		crStepOnce(t, base, ns.SeriesID)
+	}
+	if err := p1.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if err := p1.cmd.Wait(); err != nil {
+		t.Fatalf("quick shutdown: %v\n%s", err, p1.log.String())
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	out, err := exec.CommandContext(ctx, bin, "-addr", addr, "-preset", "tiny", "-state-dir", stateDir).CombinedOutput()
+	if err == nil || ctx.Err() != nil {
+		t.Fatalf("tiny server did not refuse quick's state (err %v):\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "written by a different model") || strings.Contains(string(out), "msg=listening") {
+		t.Fatalf("refusal does not name the model mismatch before listening:\n%s", out)
+	}
+
+	p2 := startServe(t, bin, addr, stateDir, "-preset", "quick")
+	p2.waitReady(t, base)
+	if res := crStepOnce(t, base, ns.SeriesID); res.TotalSteps != 4 {
+		t.Fatalf("restored series continues at step %d, want 4\n%s", res.TotalSteps, p2.log.String())
+	}
+	if err := p2.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if err := p2.cmd.Wait(); err != nil {
+		t.Fatalf("quick restart shutdown: %v\n%s", err, p2.log.String())
 	}
 }

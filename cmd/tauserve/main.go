@@ -1,8 +1,9 @@
 // Command tauserve runs the timeseries-aware uncertainty wrapper as a
-// runtime-monitoring HTTP service. On startup it builds and calibrates the
-// study pipeline (synthetic data, DDM, wrappers) at the chosen preset, then
-// serves fused outcomes with dependable uncertainties and simplex
-// countermeasures.
+// runtime-monitoring HTTP service. On startup it loads the calibrated
+// wrapper of the chosen preset, a deployment bundle compiled into the
+// binary (presets.go), then serves fused outcomes with dependable
+// uncertainties and simplex countermeasures. Training and calibration stay
+// offline, as in the source paper's pipeline.
 //
 // Session state lives in a sharded wrapper pool: opens, steps, and closes
 // on different series never contend on a global lock, and the batch endpoint
@@ -31,7 +32,9 @@
 // -checkpoint-interval or when the WAL outgrows -wal-max-bytes), and on
 // startup the server restores them before accepting traffic. A crash loses
 // at most one flush interval of series history; a graceful drain ends with
-// a final checkpoint that loses nothing.
+// a final checkpoint that loses nothing. The state is bound to the preset's
+// model by its fingerprint: a server started with another preset refuses
+// to restore it and exits.
 //
 // Durability failures never reach the hot path: each store operation is
 // retried with jittered exponential backoff (-store-retry-attempts,
@@ -107,6 +110,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -120,7 +124,7 @@ import (
 	"syscall"
 	"time"
 
-	"github.com/iese-repro/tauw/internal/eval"
+	"github.com/iese-repro/tauw/internal/core"
 	"github.com/iese-repro/tauw/internal/monitor"
 	"github.com/iese-repro/tauw/internal/recalib"
 	"github.com/iese-repro/tauw/internal/simplex"
@@ -147,7 +151,9 @@ func run(args []string) error {
 			"binary streaming transport listen address (empty disables it); "+
 				"persistent-connection frame protocol for clients that outgrow "+
 				"the JSON endpoints' per-request HTTP overhead")
-		preset       = fs.String("preset", "tiny", "calibration preset: tiny, quick, or paper")
+		preset = fs.String("preset", "tiny",
+			"calibrated wrapper to serve: tiny, quick, or paper (bundles built offline "+
+				"from the study of the same name and compiled into the binary)")
 		shards       = fs.Int("shards", 0, "wrapper-pool shard count (0 = default, rounded up to a power of two)")
 		maxSeries    = fs.Int("max-series", 0, "cap on concurrently open series (0 = unlimited)")
 		batchWorkers = fs.Int("batch-workers", 0, "max goroutines per /v1/steps request (0 = GOMAXPROCS)")
@@ -256,26 +262,18 @@ func run(args []string) error {
 	}); err != nil {
 		return err
 	}
-	var cfg eval.StudyConfig
-	switch *preset {
-	case "tiny":
-		cfg = eval.TinyConfig()
-	case "quick":
-		cfg = eval.QuickConfig()
-	case "paper":
-		cfg = eval.PaperConfig()
-	default:
-		return fmt.Errorf("unknown preset %q", *preset)
-	}
-	mainLog.Info("calibrating wrappers", "preset", cfg.Name)
 	start := time.Now()
-	st, err := eval.BuildStudy(cfg)
+	w, err := loadPreset(*preset)
 	if err != nil {
 		return err
 	}
-	mainLog.Info("calibrated",
-		"took", time.Since(start).Round(time.Millisecond),
-		"ddm_test_accuracy", fmt.Sprintf("%.2f%%", 100*st.DDMTestAccuracy))
+	took := time.Since(start)
+	fingerprint, err := core.ModelFingerprint(w.Base().QIM(), w.TAQIM())
+	if err != nil {
+		return err
+	}
+	mainLog.Info("loaded calibrated wrapper",
+		"preset", *preset, "fingerprint", fingerprint, "took", took)
 	// The flight recorder is always on (its hot-path cost is two atomic
 	// operations per event); anomaly freezes surface as a structured log
 	// line pointing the operator at /debug/flight/last-anomaly.
@@ -309,7 +307,7 @@ func run(args []string) error {
 	if *stateDir != "" {
 		opts = append(opts, WithDurability())
 	}
-	srv, err := NewServer(st.Base, st.TAQIM, simplex.DefaultTSRPolicy(), opts...)
+	srv, err := NewServer(w.Base(), w.TAQIM(), simplex.DefaultTSRPolicy(), opts...)
 	if err != nil {
 		return err
 	}
@@ -516,14 +514,14 @@ func serveUntilShutdown(ctx context.Context, restoreSignals func(), httpServer *
 	// The binary transport drains inside the same timeout window: idle
 	// connections unblock immediately, in-flight frames complete.
 	if err := srv.ShutdownWire(shutdownCtx); err != nil {
-		shutdownErr = joinErrors(shutdownErr, err)
+		shutdownErr = errors.Join(shutdownErr, err)
 	}
 	// The final checkpoint runs after the drains: once they completed no
 	// step is mutating pool state anymore, so the blob is the complete
 	// serving history.
 	if cp != nil {
 		if err := cp.Stop(); err != nil {
-			shutdownErr = joinErrors(shutdownErr, fmt.Errorf("final checkpoint: %w", err))
+			shutdownErr = errors.Join(shutdownErr, fmt.Errorf("final checkpoint: %w", err))
 		} else {
 			mainLog.Info("final checkpoint written",
 				"checkpoints", cp.CheckpointStats().Checkpoints,
@@ -538,19 +536,4 @@ func serveUntilShutdown(ctx context.Context, restoreSignals func(), httpServer *
 		"steps_served", srv.pool.StepCount(), "feedbacks", snap.Feedbacks,
 		"windowed_brier", fmt.Sprintf("%.4f", snap.WindowedBrier))
 	return nil
-}
-
-// joinErrors returns both errors, wrapped so errors.Is and errors.As see
-// each, or b alone when a is nil. It stands in for errors.Join, whose code
-// would shift every package linked after package errors by 544 bytes, 32
-// modulo a cache line. On a 2-vCPU Intel Xeon VM that shift alone made the
-// start-up calibration ~15% slower while the softmax trainer ran one scalar
-// chain per class. With the blocked kernel, errors.Join still read slower
-// from exec to first /readyz 200: medians +7.2% and +1.2% in two sets of 10
-// alternating pairs, lower in only 4 and 5 of them.
-func joinErrors(a, b error) error {
-	if a == nil {
-		return b
-	}
-	return fmt.Errorf("%w; %w", a, b)
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 
@@ -90,6 +92,33 @@ func LoadBundle(data []byte, scope *uw.ScopeModel) (*Wrapper, error) {
 		Fuser:       fuser,
 		BufferLimit: b.BufferLimit,
 	})
+}
+
+// Fingerprint identifies a calibrated model pair: the SHA-256 of the base
+// QIM's JSON followed by the taQIM's JSON, the two models a Bundle carries.
+// Both encodings are deterministic and LoadQIM re-marshals them byte for
+// byte, so a model pair keeps its fingerprint through SaveBundle and
+// LoadBundle. The zero value means "unknown".
+type Fingerprint [sha256.Size]byte
+
+// String renders the fingerprint as lowercase hex.
+func (f Fingerprint) String() string { return hex.EncodeToString(f[:]) }
+
+// ModelFingerprint computes the Fingerprint of a base QIM and a taQIM.
+func ModelFingerprint(base, taqim *uw.QualityImpactModel) (Fingerprint, error) {
+	h := sha256.New()
+	for _, q := range []*uw.QualityImpactModel{base, taqim} {
+		js, err := q.MarshalJSON()
+		if err != nil {
+			return Fingerprint{}, fmt.Errorf("core: fingerprint model: %w", err)
+		}
+		// A JSON value is self-delimiting, so the concatenation is
+		// unambiguous without a separator.
+		h.Write(js)
+	}
+	var f Fingerprint
+	h.Sum(f[:0])
+	return f, nil
 }
 
 // fuserByName resolves the fusion rules shipped with this module.

@@ -75,3 +75,11 @@ func (p *WrapperPool) ServingModel() (*uw.QualityImpactModel, uint64) {
 	ms := p.model.Load()
 	return ms.qim, ms.version
 }
+
+// Fingerprint returns the ModelFingerprint of the models the pool was built
+// with: the base wrapper's QIM and the construction-time taQIM (revision
+// 1). Hot swaps do not change it. The durability layer binds a state
+// directory to it, so state is never restored under a different model.
+func (p *WrapperPool) Fingerprint() (Fingerprint, error) {
+	return ModelFingerprint(p.base.QIM(), p.taqim)
+}

@@ -16,6 +16,7 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -161,6 +162,9 @@ type Checkpointer struct {
 	// lastMeta* dedupe the meta record: flushes rewrite it only on change.
 	lastMetaCounter uint64
 	lastMetaVersion uint64
+	// fingerprint is the pool's construction model, stamped into every
+	// meta record.
+	fingerprint core.Fingerprint
 
 	checkpoints atomic.Uint64
 	flushes     atomic.Uint64
@@ -217,17 +221,22 @@ func NewCheckpointer(s Store, pool *core.WrapperPool, mon *monitor.Monitor, leav
 	if cfg.ProbeInterval < 0 {
 		return nil, fmt.Errorf("store: probe interval %v must be >= 0", cfg.ProbeInterval)
 	}
+	fp, err := pool.Fingerprint()
+	if err != nil {
+		return nil, err
+	}
 	return &Checkpointer{
-		store:  s,
-		pool:   pool,
-		mon:    mon,
-		leaves: leaves,
-		cfg:    cfg,
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
-		now:    time.Now,
-		sleep:  time.Sleep,
-		rng:    uint64(time.Now().UnixNano()) | 1,
+		store:       s,
+		pool:        pool,
+		mon:         mon,
+		leaves:      leaves,
+		cfg:         cfg,
+		fingerprint: fp,
+		stop:        make(chan struct{}),
+		done:        make(chan struct{}),
+		now:         time.Now,
+		sleep:       time.Sleep,
+		rng:         uint64(time.Now().UnixNano()) | 1,
 	}, nil
 }
 
@@ -506,7 +515,7 @@ func (c *Checkpointer) appendMetaIfChanged() error {
 // as JSON once it has been swapped past the construction revision.
 func (c *Checkpointer) metaRecord(dst []byte) ([]byte, error) {
 	qim, version := c.pool.ServingModel()
-	m := Meta{SeriesCounter: c.pool.SeriesCounter(), ModelVersion: version}
+	m := Meta{SeriesCounter: c.pool.SeriesCounter(), ModelVersion: version, Fingerprint: c.fingerprint}
 	if version > 1 {
 		js, err := qim.MarshalJSON()
 		if err != nil {
@@ -624,16 +633,27 @@ type RecoverStats struct {
 	HadCheckpoint           bool
 }
 
+// ErrModelMismatch is returned by Recover when the state was written by a
+// pool built with a different construction model: its series would
+// continue under estimates the other model never calibrated.
+var ErrModelMismatch = errors.New("store: state was written by a different model")
+
 // Recover replays a store into a freshly built pool (and optional monitor
 // state), before any traffic: checkpoint records first, then the WAL tail.
 // Unknown record kinds are skipped — a newer writer's records do not brick
 // an older reader — and close records for tracks that never materialised
-// are ignored.
+// are ignored. A meta record whose fingerprint differs from the pool's
+// fails the recovery with ErrModelMismatch; a meta record without one
+// (written before fingerprints existed) restores unchecked.
 func Recover(s Store, pool *core.WrapperPool, mon *monitor.Monitor, leaves *monitor.LeafStats) (RecoverStats, error) {
 	var rs RecoverStats
 	var st core.SeriesState
 	var meta Meta
 	var mrec MonitorRecord
+	fp, err := pool.Fingerprint()
+	if err != nil {
+		return rs, err
+	}
 	apply := func(rec []byte) error {
 		kind, err := RecordKind(rec)
 		if err != nil {
@@ -663,6 +683,10 @@ func Recover(s Store, pool *core.WrapperPool, mon *monitor.Monitor, leaves *moni
 			if err := DecodeMetaRecord(rec, &meta); err != nil {
 				return err
 			}
+			if meta.Fingerprint != (core.Fingerprint{}) && meta.Fingerprint != fp {
+				return fmt.Errorf("%w: state fingerprint %s, serving model fingerprint %s",
+					ErrModelMismatch, meta.Fingerprint, fp)
+			}
 			pool.SetSeriesCounter(meta.SeriesCounter)
 			if len(meta.ModelJSON) > 0 && meta.ModelVersion > 1 {
 				qim, err := uw.LoadQIM(meta.ModelJSON)
@@ -691,7 +715,7 @@ func Recover(s Store, pool *core.WrapperPool, mon *monitor.Monitor, leaves *moni
 		}
 		return nil
 	}
-	err := s.Recover(
+	err = s.Recover(
 		func(blob []byte) error {
 			rs.HadCheckpoint = true
 			return WalkBlob(blob, apply)

@@ -311,23 +311,32 @@ func DecodeCloseRecord(rec []byte) (track int, err error) {
 
 // --------------------------------------------------------- meta record --
 
-// Meta carries the pool-level scalars: the series-id counter and the
-// serving model. ModelJSON is empty while the pool still serves its
-// construction-time model (version 1) — that model is rebuilt from the
-// calibration preset at startup, so only hot-swapped revisions persist.
+// Meta carries the pool-level scalars: the series-id counter, the serving
+// model and the fingerprint of the pool's construction model. ModelJSON is
+// empty while the pool still serves its construction-time model (version
+// 1) — that model is loaded again at startup, so only hot-swapped revisions
+// persist. Fingerprint binds the state to that construction model (see
+// Recover); it is zero in records written before it existed.
 type Meta struct {
 	SeriesCounter uint64
 	ModelVersion  uint64
 	ModelJSON     []byte
+	Fingerprint   core.Fingerprint
 }
 
-// AppendMetaRecord encodes the pool-level scalars.
+// AppendMetaRecord encodes the pool-level scalars. A non-zero fingerprint
+// trails the record as raw bytes, so a record without one keeps the layout
+// older readers and writers use.
 func AppendMetaRecord(dst []byte, m *Meta) []byte {
 	dst = append(dst, kindMeta)
 	dst = appendUvarint(dst, m.SeriesCounter)
 	dst = appendUvarint(dst, m.ModelVersion)
 	dst = appendUvarint(dst, uint64(len(m.ModelJSON)))
-	return append(dst, m.ModelJSON...)
+	dst = append(dst, m.ModelJSON...)
+	if m.Fingerprint != (core.Fingerprint{}) {
+		dst = append(dst, m.Fingerprint[:]...)
+	}
+	return dst
 }
 
 // DecodeMetaRecord decodes a meta record; ModelJSON aliases rec.
@@ -339,6 +348,14 @@ func DecodeMetaRecord(rec []byte, m *Meta) error {
 	m.SeriesCounter = d.uvarint()
 	m.ModelVersion = d.uvarint()
 	m.ModelJSON = d.bytes()
+	m.Fingerprint = core.Fingerprint{}
+	if d.err == nil && len(d.b) > 0 {
+		if len(d.b) < len(m.Fingerprint) {
+			d.fail(errShortRecord)
+		} else {
+			d.b = d.b[copy(m.Fingerprint[:], d.b):]
+		}
+	}
 	return d.finish()
 }
 

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -163,6 +164,48 @@ func TestMetaRecordRoundtrip(t *testing.T) {
 	}
 	if len(got.ModelJSON) != 0 {
 		t.Fatalf("v1 meta decoded model payload %q", got.ModelJSON)
+	}
+	// The construction-model fingerprint trails the record.
+	fp := Meta{SeriesCounter: 3, ModelVersion: 2, ModelJSON: []byte(`{}`)}
+	fp.Fingerprint[0], fp.Fingerprint[31] = 0xab, 0xcd
+	rec = AppendMetaRecord(nil, &fp)
+	if err := DecodeMetaRecord(rec, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Fingerprint != fp.Fingerprint || got.ModelVersion != 2 || string(got.ModelJSON) != `{}` {
+		t.Fatalf("fingerprinted meta roundtrip: got %+v, want %+v", got, fp)
+	}
+	if err := DecodeMetaRecord(rec[:len(rec)-1], &got); err == nil {
+		t.Fatal("truncated fingerprint decoded")
+	}
+	if err := DecodeMetaRecord(append(rec, 0), &got); err == nil {
+		t.Fatal("trailing byte after fingerprint decoded")
+	}
+}
+
+// TestMetaRecordLegacyBytes pins the layout of records written before meta
+// records carried a fingerprint: the bytes below are what the encoder
+// produced then, and a record without a fingerprint still encodes to them.
+func TestMetaRecordLegacyBytes(t *testing.T) {
+	for _, tc := range []struct {
+		rec  []byte
+		want Meta
+	}{
+		{[]byte{0x3, 0xac, 0x2, 0x1, 0x0}, Meta{SeriesCounter: 300, ModelVersion: 1}},
+		{[]byte{0x3, 0x7, 0x2, 0x7, 0x7b, 0x22, 0x78, 0x22, 0x3a, 0x31, 0x7d},
+			Meta{SeriesCounter: 7, ModelVersion: 2, ModelJSON: []byte(`{"x":1}`)}},
+	} {
+		var got Meta
+		if err := DecodeMetaRecord(tc.rec, &got); err != nil {
+			t.Fatalf("legacy record %x: %v", tc.rec, err)
+		}
+		if got.SeriesCounter != tc.want.SeriesCounter || got.ModelVersion != tc.want.ModelVersion ||
+			string(got.ModelJSON) != string(tc.want.ModelJSON) || got.Fingerprint != (core.Fingerprint{}) {
+			t.Fatalf("legacy record %x decoded %+v, want %+v", tc.rec, got, tc.want)
+		}
+		if re := AppendMetaRecord(nil, &tc.want); !bytes.Equal(re, tc.rec) {
+			t.Fatalf("unfingerprinted meta encodes %x, legacy layout is %x", re, tc.rec)
+		}
 	}
 }
 

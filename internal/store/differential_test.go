@@ -15,6 +15,7 @@ import (
 	"github.com/iese-repro/tauw/internal/monitor"
 	"github.com/iese-repro/tauw/internal/recalib"
 	"github.com/iese-repro/tauw/internal/store"
+	"github.com/iese-repro/tauw/internal/uw"
 )
 
 var (
@@ -45,8 +46,14 @@ type rig struct {
 
 func newRig(t testing.TB) *rig {
 	t.Helper()
+	return newRigWith(t, testStudy(t).TAQIM)
+}
+
+// newRigWith builds a rig whose pool is constructed with the given taQIM.
+func newRigWith(t testing.TB, taqim *uw.QualityImpactModel) *rig {
+	t.Helper()
 	st := testStudy(t)
-	pool, err := core.NewWrapperPool(st.Base, st.TAQIM,
+	pool, err := core.NewWrapperPool(st.Base, taqim,
 		core.Config{BufferLimit: 8}, 0,
 		core.WithMonitoring(16), core.WithStateJournal())
 	if err != nil {
@@ -56,7 +63,7 @@ func newRig(t testing.TB) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	leafs, err := monitor.NewLeafStats(st.TAQIM.NumRegions(), 0)
+	leafs, err := monitor.NewLeafStats(taqim.NumRegions(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

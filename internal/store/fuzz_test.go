@@ -19,6 +19,7 @@ func FuzzDecodeRecord(f *testing.F) {
 	f.Add(AppendSeriesRecord(nil, &st))
 	f.Add(AppendCloseRecord(nil, -7))
 	f.Add(AppendMetaRecord(nil, &Meta{SeriesCounter: 9, ModelVersion: 2, ModelJSON: []byte(`{}`)}))
+	f.Add(AppendMetaRecord(nil, &Meta{SeriesCounter: 9, ModelVersion: 1, Fingerprint: core.Fingerprint{1, 2, 3}}))
 	mr := sampleMonitorRecord()
 	f.Add(AppendMonitorRecord(nil, &mr))
 	var blob []byte
@@ -55,7 +56,7 @@ func FuzzDecodeRecord(f *testing.F) {
 				t.Fatalf("re-encoded meta record failed to decode: %v", err)
 			}
 			if back.SeriesCounter != m.SeriesCounter || back.ModelVersion != m.ModelVersion ||
-				!bytes.Equal(back.ModelJSON, m.ModelJSON) {
+				!bytes.Equal(back.ModelJSON, m.ModelJSON) || back.Fingerprint != m.Fingerprint {
 				t.Fatalf("meta re-encode diverged")
 			}
 		}
