@@ -34,6 +34,9 @@ func BenchmarkRecalibrate(b *testing.B) {
 	}
 }
 
+// benchSwapRing is BenchmarkPoolStepDuringSwap's feedback-ring cap.
+const benchSwapRing = 64
+
 // BenchmarkPoolStepDuringSwap is BenchmarkPoolStepParallel/sharded with a
 // background goroutine hot-swapping the serving model about once per
 // millisecond: the step path must stay allocation-free and within a few
@@ -44,7 +47,7 @@ func BenchmarkPoolStepDuringSwap(b *testing.B) {
 	st := study(b)
 	series := st.TestSeries[0]
 	outcome, quality := series.Outcomes[0], series.Quality[0]
-	pool, err := core.NewWrapperPool(st.Base, st.TAQIM, benchPoolCfg, 0, core.WithMonitoring(64))
+	pool, err := core.NewWrapperPool(st.Base, st.TAQIM, benchPoolCfg, 0, core.WithMonitoring(benchSwapRing))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -58,12 +61,15 @@ func BenchmarkPoolStepDuringSwap(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Warm every track once before the timer: a track's first step
-	// allocates its scratch row, which is open/setup cost — the benchmark
-	// (and its alloc gate) measures the steady-state step during swaps.
+	// Warm every track past its ring cap before the timer: a track's first
+	// step allocates its scratch row and its ring grows to the cap by use,
+	// both open/setup cost — the benchmark (and its alloc gate) measures
+	// the steady-state step during swaps.
 	for id := 0; id < benchPoolTracks; id++ {
-		if _, err := pool.Step(id, outcome, quality); err != nil {
-			b.Fatal(err)
+		for i := 0; i <= benchSwapRing; i++ {
+			if _, err := pool.Step(id, outcome, quality); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 	models := [2]*uw.QualityImpactModel{st.TAQIM, lifted}

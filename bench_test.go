@@ -459,34 +459,81 @@ func BenchmarkPoolStepParallel(b *testing.B) {
 	})
 }
 
+// benchEncounterSteps is the length of one served encounter in the churn
+// benchmark: the study's encounters are 10 frames.
+const benchEncounterSteps = 10
+
 // BenchmarkPoolOpenCloseParallel measures session churn — the path a
 // tracker exercises whenever objects enter and leave the scene. The global
 // mutex serialises it fully; the shards keep it mostly parallel.
+//
+// "bare" opens and closes tracks on an unmonitored pool. "served" churns a
+// pool built like tauserve's — a 256-step feedback ring and the close
+// journal, drained as the durability layer's flusher would — through whole
+// encounters: open a series, step it benchEncounterSteps times, close it.
+// Its B/op is what one encounter costs the heap, provenance ring included.
 func BenchmarkPoolOpenCloseParallel(b *testing.B) {
 	st := study(b)
-	pool, err := core.NewWrapperPool(st.Base, st.TAQIM, benchPoolCfg, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var next atomic.Int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		// Each goroutine churns its own ten-million-id space (the slot
-		// count keeps the arithmetic inside 32-bit int range); contention
-		// is purely on shard locks (or, pre-sharding, one global lock).
-		id := (int(next.Add(1)) % 200) * 10_000_000
-		for pb.Next() {
-			id++
-			if err := pool.Open(id); err != nil {
-				b.Error(err)
-				return
-			}
-			if err := pool.Close(id); err != nil {
-				b.Error(err)
-				return
-			}
+	b.Run("bare", func(b *testing.B) {
+		pool, err := core.NewWrapperPool(st.Base, st.TAQIM, benchPoolCfg, 0)
+		if err != nil {
+			b.Fatal(err)
 		}
+		var next atomic.Int64
+		b.ReportAllocs()
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			// Each goroutine churns its own ten-million-id space (the slot
+			// count keeps the arithmetic inside 32-bit int range);
+			// contention is purely on shard locks (or, pre-sharding, one
+			// global lock).
+			id := (int(next.Add(1)) % 200) * 10_000_000
+			for pb.Next() {
+				id++
+				if err := pool.Open(id); err != nil {
+					b.Error(err)
+					return
+				}
+				if err := pool.Close(id); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		})
+	})
+	b.Run("served", func(b *testing.B) {
+		pool, err := core.NewWrapperPool(st.Base, st.TAQIM, benchPoolCfg, 0,
+			core.WithMonitoring(256), core.WithStateJournal())
+		if err != nil {
+			b.Fatal(err)
+		}
+		series := st.TestSeries[0]
+		b.ReportAllocs()
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			var closed []int
+			for n := 1; pb.Next(); n++ {
+				id, err := pool.OpenSeries()
+				if err != nil {
+					b.Error(err)
+					return
+				}
+				for j := 0; j < benchEncounterSteps; j++ {
+					k := j % len(series.Outcomes)
+					if _, err := pool.StepSeries(id, series.Outcomes[k], series.Quality[k]); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+				if err := pool.CloseSeries(id); err != nil {
+					b.Error(err)
+					return
+				}
+				if n%64 == 0 {
+					closed = pool.DrainClosed(closed[:0])
+				}
+			}
+		})
 	})
 }
 
@@ -601,7 +648,8 @@ func BenchmarkMonitorStepOverhead(b *testing.B) {
 // BenchmarkMonitorFeedback prices one ground-truth join: the provenance-
 // ring take plus the monitor's shard/bin/window/drift update. Each
 // iteration steps once and joins once, so the number is the full feedback
-// round minus HTTP.
+// round minus HTTP. The track is stepped past its ring cap before the
+// timer: growing the ring is a one-off cost per series, not steady state.
 func BenchmarkMonitorFeedback(b *testing.B) {
 	st := study(b)
 	series := st.TestSeries[0]
@@ -616,6 +664,11 @@ func BenchmarkMonitorFeedback(b *testing.B) {
 	m, err := monitor.New(monitor.Config{})
 	if err != nil {
 		b.Fatal(err)
+	}
+	for i := 0; i < 300; i++ { // past ring growth to the cap
+		if _, err := pool.Step(1, outcome, quality); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

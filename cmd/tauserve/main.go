@@ -159,7 +159,8 @@ func run(args []string) error {
 		batchWorkers = fs.Int("batch-workers", 0, "max goroutines per /v1/steps request (0 = GOMAXPROCS)")
 		bufferLimit  = fs.Int("buffer-limit", 0, "per-series timeseries buffer cap (0 = unbounded)")
 		feedbackRing = fs.Int("feedback-ring", DefaultFeedbackRing,
-			"per-series provenance ring joined by /v1/feedback (0 disables feedback)")
+			"cap on the per-series provenance ring joined by /v1/feedback: how many "+
+				"steps back feedback may reach; each ring grows to it by use (0 disables feedback)")
 		brierWindow = fs.Int("brier-window", monitor.DefaultWindow,
 			"per-shard sliding window of the streaming Brier score")
 		calibBins = fs.Int("calib-bins", monitor.DefaultBins,

@@ -127,10 +127,12 @@ type serverOptions struct {
 	trace          *trace.Recorder
 }
 
-// DefaultFeedbackRing is the default per-series provenance-ring length:
-// ground truth may trail a served estimate by up to this many steps of the
-// same series and still join. At 40 bytes per slot the default costs 10 KiB
-// per open series.
+// DefaultFeedbackRing is the default cap on the per-series provenance
+// ring: ground truth may trail a served estimate by up to this many steps
+// of the same series and still join. A series' ring opens at 16 slots of
+// about 40 bytes and doubles toward the cap only as the series outgrows
+// it, so a short encounter holds 640 bytes and only a series of 129 steps
+// or more pays the full 10 KiB.
 const DefaultFeedbackRing = 256
 
 // WithMaxSeries caps the number of concurrently open series (0 = unlimited).
@@ -157,9 +159,10 @@ func WithBufferLimit(n int) ServerOption {
 	return func(o *serverOptions) { o.bufferLimit = n }
 }
 
-// WithFeedbackRing sets the per-series provenance-ring length that POST
-// /v1/feedback joins ground truth against (default DefaultFeedbackRing;
-// 0 disables the feedback endpoint, which then answers 501).
+// WithFeedbackRing caps the per-series provenance ring that POST
+// /v1/feedback joins ground truth against, which is how many steps back
+// feedback may reach (default DefaultFeedbackRing; 0 disables the feedback
+// endpoint, which then answers 501). Rings grow to the cap by use.
 func WithFeedbackRing(n int) ServerOption {
 	return func(o *serverOptions) { o.feedbackRing = n }
 }

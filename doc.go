@@ -61,7 +61,8 @@
 // ApplyBatch block walks), the tauserve hot-endpoint codec (pooled
 // request/response buffers, reflection-free encode/decode), the runtime
 // calibration monitoring on the step path (shard-local atomic counters
-// plus a preallocated provenance ring — both still zero-alloc while models
+// plus a per-series provenance ring, zero-alloc on every step but the few
+// that double a series' ring toward its cap — also while models
 // hot-swap underneath, which BenchmarkPoolStepDuringSwap gates, and while
 // the checkpointer flushes underneath, which
 // BenchmarkPoolStepDuringCheckpoint gates: durability marks a series dirty

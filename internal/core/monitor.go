@@ -87,6 +87,24 @@ type provRecord struct {
 	taken       bool
 }
 
+// initialRingSlots is the provenance-ring length a monitored track opens
+// with (the pool's ringSize if that is smaller). Encounters are short — the
+// study's are 10 frames, a GTSRB track at most 30 — so most series never
+// outgrow it; longer ones grow by doubling up to the configured ringSize.
+const initialRingSlots = 16
+
+// ringLen returns the provenance-ring length of a track that has reached
+// step under the cap limit: initialRingSlots doubled until it holds step,
+// capped at limit. Opening, growing and restoring a ring all size it here,
+// so a restored track continues to grow exactly as the live one would have.
+func ringLen(step uint64, limit int) int {
+	n := min(initialRingSlots, limit)
+	for uint64(n) < step && n < limit {
+		n = min(2*n, limit)
+	}
+	return n
+}
+
 // FeedbackRecord is the provenance of one served estimate, returned when
 // ground-truth feedback is joined to it.
 type FeedbackRecord struct {
@@ -123,9 +141,12 @@ var ErrDuplicateFeedback = errors.New("core: duplicate feedback for step")
 // shard-local step accounting (StepCount, UncertaintySum, OutcomeCounts)
 // and, when ringSize > 0, a per-track provenance ring of the last ringSize
 // estimates that ground-truth feedback is joined against (TakeFeedback).
-// The ring costs about 40 bytes per slot per open track; monitoring adds a
-// few atomic increments and one ring write to each step and allocates
-// nothing.
+// ringSize is how far back feedback may reach, not what each track pays up
+// front: a track's ring opens at 16 slots of about 40 bytes (fewer if
+// ringSize is smaller) and doubles up to ringSize only as the series grows
+// past it, so a short encounter costs 640 bytes whatever the cap. Once a
+// track's ring has grown, monitoring adds a few atomic increments and one
+// ring write to each step and allocates nothing.
 func WithMonitoring(ringSize int) PoolOption {
 	return func(o *poolOptions) {
 		o.monitored = true
@@ -138,8 +159,18 @@ func WithMonitoring(ringSize int) PoolOption {
 // counters are atomics shared by every track of the shard.
 func (p *WrapperPool) recordStep(pw *pooledWrapper, shard uint64, res *Result) {
 	if pw.ring != nil {
-		slot := &pw.ring[(uint64(res.TotalSteps)-1)%uint64(len(pw.ring))]
-		slot.step = uint64(res.TotalSteps)
+		step := uint64(res.TotalSteps)
+		if step > uint64(len(pw.ring)) && len(pw.ring) < p.ringSize {
+			// A ring shorter than the cap has never wrapped, so every step
+			// s it holds sits in slot s-1 at any length and growing is a
+			// plain copy: joins, duplicates and late answers stay what a
+			// full-size ring would give.
+			grown := make([]provRecord, ringLen(step, p.ringSize))
+			copy(grown, pw.ring)
+			pw.ring = grown
+		}
+		slot := &pw.ring[(step-1)%uint64(len(pw.ring))]
+		slot.step = step
 		slot.uncertainty = res.Uncertainty
 		slot.modelVer = res.ModelVersion
 		slot.fused = int32(res.Fused)
@@ -218,8 +249,9 @@ func (p *WrapperPool) TakeFeedbackSeries(id string, step int) (FeedbackRecord, e
 	return p.TakeFeedback(track, step)
 }
 
-// FeedbackRingSize reports the per-track provenance ring length (0 when
-// feedback is disabled).
+// FeedbackRingSize reports how many of a track's most recent steps
+// feedback may reach (0 when feedback is disabled): the cap each track's
+// provenance ring grows to by use, not the length it opens with.
 func (p *WrapperPool) FeedbackRingSize() int {
 	if !p.monitored {
 		return 0

@@ -80,7 +80,9 @@ type pooledWrapper struct {
 	mu sync.Mutex
 	w  *Wrapper
 	// ring is the track's provenance ring (nil unless the pool was built
-	// WithMonitoring and a positive ring size). Slots are addressed by the
+	// WithMonitoring and a positive ring size). It opens at
+	// initialRingSlots and doubles up to the pool's ringSize as the
+	// series' steps need it (see ringLen). Slots are addressed by the
 	// step's TotalSteps modulo the ring length; guarded by mu.
 	ring []provRecord
 	// dirty marks state mutated since the durability layer's last capture
@@ -205,7 +207,8 @@ func (p *WrapperPool) open(trackID int) error {
 		// the previous series would collide with the new step numbers:
 		// clear them, making feedback for the dead series unjoinable
 		// (ErrStepUnavailable) instead of silently joined to the wrong
-		// estimate.
+		// estimate. A grown ring keeps its length, as Buffer.Reset keeps
+		// its capacity.
 		clear(pw.ring)
 		pw.dirty = true
 		pw.mu.Unlock()
@@ -226,7 +229,7 @@ func (p *WrapperPool) open(trackID int) error {
 	}
 	pw := &pooledWrapper{w: w, dirty: true}
 	if p.monitored && p.ringSize > 0 {
-		pw.ring = make([]provRecord, p.ringSize)
+		pw.ring = make([]provRecord, ringLen(0, p.ringSize))
 	}
 	sh.tracks[trackID] = pw
 	return nil

@@ -2,6 +2,8 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -75,60 +77,166 @@ func TestPoolStatsDisabledByDefault(t *testing.T) {
 	}
 }
 
+// TestTakeFeedbackJoin pins the feedback contract at every ring cap and
+// across every growth boundary of the ring: after T steps, step s joins
+// with the exact estimate served iff T-cap < s <= T and answers
+// ErrStepUnavailable otherwise, and a second take of a joined step is a
+// duplicate.
 func TestTakeFeedbackJoin(t *testing.T) {
-	pool, st := monitoredPoolFixture(t, 4)
-	id, err := pool.OpenSeries()
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := buildStudy(t)
+	taqim := fitTAQIM(t, st, nil)
 	s := st.testSeries[0]
-	var results []Result
-	for j := 0; j < 6; j++ {
-		res, err := pool.StepSeries(id, s.Outcomes[j], s.Quality[j])
+	for _, ringCap := range []int{4, 16, 17, 100, 256} {
+		pool, err := NewWrapperPool(st.base, taqim, Config{}, 0, WithMonitoring(ringCap))
 		if err != nil {
 			t.Fatal(err)
 		}
-		results = append(results, res)
+		// Step counts on both sides of every growth boundary (16, 32) and
+		// of the cap, plus one that wraps the full ring twice.
+		totals := []int{15, 16, 17, 33, ringCap, ringCap + 1, 2*ringCap + 3}
+		slices.Sort(totals)
+		for _, total := range slices.Compact(totals) {
+			t.Run(fmt.Sprintf("cap=%d/steps=%d", ringCap, total), func(t *testing.T) {
+				id, err := pool.OpenSeries()
+				if err != nil {
+					t.Fatal(err)
+				}
+				served := make([]Result, total)
+				for j := range served {
+					k := j % len(s.Outcomes)
+					if served[j], err = pool.StepSeries(id, s.Outcomes[k], s.Quality[k]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for step := 0; step <= total+1; step++ {
+					rec, err := pool.TakeFeedbackSeries(id, step)
+					if step <= total-ringCap || step < 1 || step > total {
+						if !errors.Is(err, ErrStepUnavailable) {
+							t.Errorf("feedback for step %d = %+v, %v, want ErrStepUnavailable", step, rec, err)
+						}
+						continue
+					}
+					if err != nil {
+						t.Fatalf("feedback step %d: %v", step, err)
+					}
+					res := served[step-1]
+					want := FeedbackRecord{Step: step, Fused: res.Fused, Uncertainty: res.Uncertainty,
+						TAQIMLeaf: res.TAQIMLeaf, ModelVersion: res.ModelVersion}
+					if rec != want {
+						t.Errorf("step %d joined %+v, want %+v", step, rec, want)
+					}
+					// A second report for a consumed step is a duplicate,
+					// not a re-join.
+					if _, err := pool.TakeFeedbackSeries(id, step); !errors.Is(err, ErrDuplicateFeedback) {
+						t.Errorf("second feedback for step %d = %v, want ErrDuplicateFeedback", step, err)
+					}
+				}
+				if _, err := pool.TakeFeedbackSeries(id, -3); !errors.Is(err, ErrStepUnavailable) {
+					t.Errorf("feedback for step -3 = %v, want ErrStepUnavailable", err)
+				}
+				// Closing the series makes feedback a not-found condition.
+				if err := pool.CloseSeries(id); err != nil {
+					t.Fatal(err)
+				}
+				for _, gone := range []string{id, "never-issued"} {
+					if _, err := pool.TakeFeedbackSeries(gone, total); !errors.Is(err, ErrUnknownSeries) {
+						t.Errorf("feedback for %s = %v, want ErrUnknownSeries", gone, err)
+					}
+				}
+			})
+		}
 	}
+}
 
-	// Steps 1 and 2 have been evicted by the 4-slot ring (6 steps taken).
-	for _, late := range []int{1, 2} {
-		if _, err := pool.TakeFeedbackSeries(id, late); !errors.Is(err, ErrStepUnavailable) {
-			t.Errorf("late feedback for step %d = %v, want ErrStepUnavailable", late, err)
-		}
+// trackRing returns track id's provenance ring (the live slice, for
+// inspection only).
+func trackRing(t *testing.T, p *WrapperPool, id int) []provRecord {
+	t.Helper()
+	sh := p.trackShardFor(id)
+	sh.mu.Lock()
+	pw, ok := sh.tracks[id]
+	sh.mu.Unlock()
+	if !ok {
+		t.Fatalf("track %d is not open", id)
 	}
-	// Steps 3..6 join and echo the exact estimate that was served.
-	for j := 2; j < 6; j++ {
-		rec, err := pool.TakeFeedbackSeries(id, j+1)
-		if err != nil {
-			t.Fatalf("feedback step %d: %v", j+1, err)
-		}
-		want := results[j]
-		if rec.Step != j+1 || rec.Fused != want.Fused ||
-			rec.Uncertainty != want.Uncertainty || rec.TAQIMLeaf != want.TAQIMLeaf {
-			t.Errorf("step %d joined %+v, want fused=%d u=%g leaf=%d",
-				j+1, rec, want.Fused, want.Uncertainty, want.TAQIMLeaf)
-		}
-	}
-	// A second report for a consumed step is a duplicate, not a re-join.
-	if _, err := pool.TakeFeedbackSeries(id, 6); !errors.Is(err, ErrDuplicateFeedback) {
-		t.Errorf("duplicate feedback = %v, want ErrDuplicateFeedback", err)
-	}
-	// Future and non-positive steps were never recorded.
-	for _, bad := range []int{0, -3, 7} {
-		if _, err := pool.TakeFeedbackSeries(id, bad); !errors.Is(err, ErrStepUnavailable) {
-			t.Errorf("feedback for step %d = %v, want ErrStepUnavailable", bad, err)
-		}
-	}
-	// Closing the series makes feedback a not-found condition.
-	if err := pool.CloseSeries(id); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pool.TakeFeedbackSeries(id, 3); !errors.Is(err, ErrUnknownSeries) {
-		t.Errorf("feedback after close = %v, want ErrUnknownSeries", err)
-	}
-	if _, err := pool.TakeFeedbackSeries("never-issued", 1); !errors.Is(err, ErrUnknownSeries) {
-		t.Errorf("feedback for unknown series = %v, want ErrUnknownSeries", err)
+	pw.mu.Lock()
+	defer pw.mu.Unlock()
+	return pw.ring
+}
+
+// TestFeedbackRingGrowsByUse pins the ring's length: min(16, cap) at open,
+// doubling only when a step overflows it, never above the cap, the same
+// length after a snapshot and restore, and unchanged but cleared after a
+// reopen.
+func TestFeedbackRingGrowsByUse(t *testing.T) {
+	st := buildStudy(t)
+	taqim := fitTAQIM(t, st, nil)
+	s := st.testSeries[0]
+	for _, ringCap := range []int{4, 16, 17, 100, 256} {
+		t.Run(fmt.Sprintf("cap=%d", ringCap), func(t *testing.T) {
+			pool, err := NewWrapperPool(st.base, taqim, Config{}, 0, WithMonitoring(ringCap))
+			if err != nil {
+				t.Fatal(err)
+			}
+			restored, err := NewWrapperPool(st.base, taqim, Config{}, 0, WithMonitoring(ringCap))
+			if err != nil {
+				t.Fatal(err)
+			}
+			const id = 1
+			if err := pool.Open(id); err != nil {
+				t.Fatal(err)
+			}
+			want := min(16, ringCap)
+			if got := len(trackRing(t, pool, id)); got != want {
+				t.Fatalf("ring length at open = %d, want %d", got, want)
+			}
+			var snap SeriesState
+			for step := 1; step <= 2*ringCap+3; step++ {
+				k := step % len(s.Outcomes)
+				if _, err := pool.Step(id, s.Outcomes[k], s.Quality[k]); err != nil {
+					t.Fatal(err)
+				}
+				if step > want {
+					want = min(2*want, ringCap)
+				}
+				live := trackRing(t, pool, id)
+				if len(live) != want {
+					t.Fatalf("ring length after step %d = %d, want %d", step, len(live), want)
+				}
+				// A restore sizes the ring from the snapshot's Total, so it
+				// lands on the live layout slot for slot.
+				if err := pool.SnapshotTrack(id, &snap); err != nil {
+					t.Fatal(err)
+				}
+				if err := restored.RestoreTrack(&snap); err != nil {
+					t.Fatal(err)
+				}
+				if got := trackRing(t, restored, id); !slices.Equal(got, live) {
+					t.Fatalf("after step %d the restored ring differs:\nlive:     %+v\nrestored: %+v", step, live, got)
+				}
+			}
+
+			// A reopen keeps the grown ring and clears it.
+			if err := pool.Open(id); err != nil {
+				t.Fatal(err)
+			}
+			ring := trackRing(t, pool, id)
+			if len(ring) != want {
+				t.Fatalf("ring length after reopen = %d, want %d", len(ring), want)
+			}
+			for i, slot := range ring {
+				if slot != (provRecord{}) {
+					t.Fatalf("slot %d survived the reopen: %+v", i, slot)
+				}
+			}
+			if _, err := pool.Step(id, s.Outcomes[0], s.Quality[0]); err != nil {
+				t.Fatal(err)
+			}
+			if ring := trackRing(t, pool, id); len(ring) != want || ring[0].step != 1 {
+				t.Fatalf("after the first step of the new series: length %d, slot 0 step %d; want %d, 1",
+					len(ring), ring[0].step, want)
+			}
+		})
 	}
 }
 

@@ -248,6 +248,15 @@ func (p *WrapperPool) RestoreTrack(st *SeriesState) error {
 		return fmt.Errorf("core: restore track %d: total steps %d < %d buffered records",
 			st.Track, st.Total, len(st.Records))
 	}
+	// A ring sized by Total has no slot reserved for a later step: such an
+	// entry would evict a live step's slot instead of landing in an unused
+	// one, and no live ring can hold it.
+	for _, e := range st.Ring {
+		if e.Step > uint64(st.Total) {
+			return fmt.Errorf("core: restore track %d: provenance step %d > total steps %d",
+				st.Track, e.Step, st.Total)
+		}
+	}
 	w, err := NewWrapper(p.base, p.taqim, p.cfg)
 	if err != nil {
 		return err
@@ -303,12 +312,12 @@ func (p *WrapperPool) RestoreTrack(st *SeriesState) error {
 
 	var ring []provRecord
 	if p.monitored && p.ringSize > 0 {
-		ring = make([]provRecord, p.ringSize)
+		ring = make([]provRecord, ringLen(uint64(st.Total), p.ringSize))
 		for _, e := range st.Ring {
 			if e.Step == 0 {
 				continue
 			}
-			slot := &ring[(e.Step-1)%uint64(p.ringSize)]
+			slot := &ring[(e.Step-1)%uint64(len(ring))]
 			// A snapshot taken under a different -feedback-ring size can map
 			// two entries to one slot; the newer step wins, like the live ring.
 			if e.Step > slot.step {

@@ -1,0 +1,84 @@
+package core
+
+import (
+	"strings"
+	"testing"
+)
+
+// TestRestoreTrackRejects feeds RestoreTrack snapshots no live track can
+// produce — a decoded state record is outside input — and requires each to
+// be refused with an error that names the track, leaving nothing open.
+func TestRestoreTrackRejects(t *testing.T) {
+	st := buildStudy(t)
+	taqim := fitTAQIM(t, st, nil)
+	newPool := func() *WrapperPool {
+		t.Helper()
+		pool, err := NewWrapperPool(st.base, taqim, Config{BufferLimit: 8}, 0, WithMonitoring(16))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pool
+	}
+	// snapshot captures track 3 after ten steps: a full buffer, a ring
+	// holding steps 1..10, and at least one outcome's running stats.
+	src := newPool()
+	if err := src.Open(3); err != nil {
+		t.Fatal(err)
+	}
+	s := st.testSeries[0]
+	for j := 0; j < 10; j++ {
+		if _, err := src.Step(3, s.Outcomes[j%len(s.Outcomes)], s.Quality[j%len(s.Quality)]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snapshot := func() *SeriesState {
+		t.Helper()
+		var snap SeriesState
+		if err := src.SnapshotTrack(3, &snap); err != nil {
+			t.Fatal(err)
+		}
+		return &snap
+	}
+	if err := newPool().RestoreTrack(snapshot()); err != nil {
+		t.Fatalf("unmodified snapshot: %v", err)
+	}
+
+	cases := []struct {
+		name   string
+		mutate func(*SeriesState)
+		want   string
+	}{
+		{"records over the buffer limit", func(snap *SeriesState) {
+			snap.Records = append(snap.Records, snap.Records[0])
+		}, "9 buffered records exceed buffer limit 8"},
+		{"total below the record count", func(snap *SeriesState) {
+			snap.Total = len(snap.Records) - 1
+		}, "total steps 7 < 8 buffered records"},
+		{"non-positive outcome count", func(snap *SeriesState) {
+			snap.Stats[0].Count = 0
+		}, "count 0 must be positive"},
+		{"duplicate outcome stats", func(snap *SeriesState) {
+			snap.Stats = append(snap.Stats, snap.Stats[0])
+		}, "duplicate stats for outcome"},
+		{"ring entry beyond the total", func(snap *SeriesState) {
+			snap.Ring[len(snap.Ring)-1].Step = uint64(snap.Total) + 1
+		}, "provenance step 11 > total steps 10"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			snap := snapshot()
+			c.mutate(snap)
+			pool := newPool()
+			err := pool.RestoreTrack(snap)
+			if err == nil {
+				t.Fatal("restore accepted the snapshot")
+			}
+			if msg := err.Error(); !strings.Contains(msg, "restore track 3:") || !strings.Contains(msg, c.want) {
+				t.Errorf("error %q, want it to name track 3 and say %q", msg, c.want)
+			}
+			if n := pool.Active(); n != 0 {
+				t.Errorf("a rejected restore left %d tracks open", n)
+			}
+		})
+	}
+}

@@ -6,7 +6,10 @@
 package store_test
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -46,16 +49,23 @@ type rig struct {
 
 func newRig(t testing.TB) *rig {
 	t.Helper()
-	return newRigWith(t, testStudy(t).TAQIM)
+	return newRigWith(t, testStudy(t).TAQIM, 16)
 }
 
-// newRigWith builds a rig whose pool is constructed with the given taQIM.
-func newRigWith(t testing.TB, taqim *uw.QualityImpactModel) *rig {
+// ringCaps are the provenance-ring caps the differential tests run with.
+// A 16-slot ring never grows; a 64-slot one grows from 16 to 32 slots
+// between the 15th and 25th step of s1 and to 64 by its 40th, so restores
+// land on every layout of a growing ring.
+var ringCaps = []int{16, 64}
+
+// newRigWith builds a rig whose pool is constructed with the given taQIM
+// and provenance-ring cap.
+func newRigWith(t testing.TB, taqim *uw.QualityImpactModel, ring int) *rig {
 	t.Helper()
 	st := testStudy(t)
 	pool, err := core.NewWrapperPool(st.Base, taqim,
 		core.Config{BufferLimit: 8}, 0,
-		core.WithMonitoring(16), core.WithStateJournal())
+		core.WithMonitoring(ring), core.WithStateJournal())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,6 +224,19 @@ func compareRuns(t *testing.T, cont, rest *rig, contRes, restRes []core.Result, 
 			t.Errorf("pool stats diverged:\ncontinuous: %+v\nrestored:   %+v", contStats, restStats)
 		}
 	}
+	// Every open series must hold the same provenance entries: a slot
+	// misplaced by a restore would join a later feedback to the wrong
+	// estimate, or lose it.
+	for n := uint64(1); n <= cont.pool.SeriesCounter(); n++ {
+		id := fmt.Sprintf("s%d", n)
+		contRing, contOpen := provenance(t, cont.pool, id)
+		restRing, restOpen := provenance(t, rest.pool, id)
+		if contOpen != restOpen {
+			t.Errorf("series %s open: restored %v, continuous %v", id, restOpen, contOpen)
+		} else if !slices.Equal(contRing, restRing) {
+			t.Errorf("series %s provenance diverged:\ncontinuous: %+v\nrestored:   %+v", id, contRing, restRing)
+		}
+	}
 	if compareFeedback {
 		contSnap, restSnap := cont.calib.Snapshot(), rest.calib.Snapshot()
 		if fmt.Sprintf("%+v", contSnap) != fmt.Sprintf("%+v", restSnap) {
@@ -225,57 +248,84 @@ func compareRuns(t *testing.T, cont, rest *rig, contRes, restRes []core.Result, 
 	}
 }
 
+// provenance returns series id's provenance entries ordered by step, and
+// whether the series is open.
+func provenance(t *testing.T, pool *core.WrapperPool, id string) ([]core.ProvEntry, bool) {
+	t.Helper()
+	track, err := pool.ResolveSeries(id)
+	if errors.Is(err, core.ErrUnknownSeries) {
+		return nil, false
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st core.SeriesState
+	if err := pool.SnapshotTrack(track, &st); err != nil {
+		t.Fatal(err)
+	}
+	slices.SortFunc(st.Ring, func(a, b core.ProvEntry) int { return cmp.Compare(a.Step, b.Step) })
+	return st.Ring, true
+}
+
 // TestDifferentialCheckpointRestore drives a continuous run and an
 // interrupted run over the same script and requires the interrupted run —
 // checkpointed, torn down, recovered into a fresh stack — to produce
 // bit-identical step results and state from the restore point on.
 func TestDifferentialCheckpointRestore(t *testing.T) {
-	const ticks = 40
 	for _, k := range []int{15, 25} { // before and after the hot-swap
-		k := k
 		t.Run(fmt.Sprintf("restoreAt%d", k), func(t *testing.T) {
-			sc := schedule{ticks: ticks}
-			cont := newRig(t)
-			_ = drive(t, cont, sc, 0, k, nil)
-			contTail := drive(t, cont, sc, k, ticks, nil)
-
-			// Interrupted run: drive to k, full checkpoint, abandon the rig.
-			dir := t.TempDir()
-			a := newRig(t)
-			_ = drive(t, a, sc, 0, k, nil)
-			fs, err := store.OpenFileStore(dir)
-			if err != nil {
-				t.Fatal(err)
+			for _, ring := range ringCaps {
+				t.Run(fmt.Sprintf("ring%d", ring), func(t *testing.T) {
+					testCheckpointRestore(t, k, ring)
+				})
 			}
-			cp, err := store.NewCheckpointer(fs, a.pool, a.calib, a.leafs, store.CheckpointConfig{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := cp.Checkpoint(); err != nil {
-				t.Fatal(err)
-			}
-			if err := fs.Close(); err != nil {
-				t.Fatal(err)
-			}
-
-			// Recovery into a fresh stack, then the rest of the script.
-			fs2, err := store.OpenFileStore(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer fs2.Close()
-			b := newRig(t)
-			rs, err := store.Recover(fs2, b.pool, b.calib, b.leafs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !rs.HadCheckpoint {
-				t.Fatal("recovery found no checkpoint")
-			}
-			restTail := drive(t, b, sc, k, ticks, nil)
-			compareRuns(t, cont, b, contTail, restTail, true, true)
 		})
 	}
+}
+
+func testCheckpointRestore(t *testing.T, k, ring int) {
+	const ticks = 40
+	taqim := testStudy(t).TAQIM
+	sc := schedule{ticks: ticks}
+	cont := newRigWith(t, taqim, ring)
+	_ = drive(t, cont, sc, 0, k, nil)
+	contTail := drive(t, cont, sc, k, ticks, nil)
+
+	// Interrupted run: drive to k, full checkpoint, abandon the rig.
+	dir := t.TempDir()
+	a := newRigWith(t, taqim, ring)
+	_ = drive(t, a, sc, 0, k, nil)
+	fs, err := store.OpenFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := store.NewCheckpointer(fs, a.pool, a.calib, a.leafs, store.CheckpointConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cp.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Recovery into a fresh stack, then the rest of the script.
+	fs2, err := store.OpenFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs2.Close()
+	b := newRigWith(t, taqim, ring)
+	rs, err := store.Recover(fs2, b.pool, b.calib, b.leafs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rs.HadCheckpoint {
+		t.Fatal("recovery found no checkpoint")
+	}
+	restTail := drive(t, b, sc, k, ticks, nil)
+	compareRuns(t, cont, b, contTail, restTail, true, true)
 }
 
 // TestDifferentialWALTailRestore crashes between checkpoints: the state at
@@ -284,18 +334,27 @@ func TestDifferentialCheckpointRestore(t *testing.T) {
 // must continue bit-identically; the checkpoint-granular feedback state is
 // restored as of the checkpoint and is not compared here.
 func TestDifferentialWALTailRestore(t *testing.T) {
+	for _, ring := range ringCaps {
+		t.Run(fmt.Sprintf("ring%d", ring), func(t *testing.T) {
+			testWALTailRestore(t, ring)
+		})
+	}
+}
+
+func testWALTailRestore(t *testing.T, ring int) {
 	const (
 		ticks = 40
 		k1    = 14 // checkpoint
 		k     = 26 // flush + crash
 	)
+	taqim := testStudy(t).TAQIM
 	sc := schedule{ticks: ticks}
-	cont := newRig(t)
+	cont := newRigWith(t, taqim, ring)
 	_ = drive(t, cont, sc, 0, k, nil)
 	contTail := drive(t, cont, sc, k, ticks, nil)
 
 	dir := t.TempDir()
-	a := newRig(t)
+	a := newRigWith(t, taqim, ring)
 	fs, err := store.OpenFileStore(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -329,7 +388,7 @@ func TestDifferentialWALTailRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fs2.Close()
-	b := newRig(t)
+	b := newRigWith(t, taqim, ring)
 	rs, err := store.Recover(fs2, b.pool, b.calib, b.leafs)
 	if err != nil {
 		t.Fatal(err)

@@ -45,7 +45,7 @@ func TestRecoverRefusesOtherConstructionModel(t *testing.T) {
 
 	// A pool constructed with the writer's hot-swapped revision is a
 	// different construction model, although it has the same shape.
-	other := newRigWith(t, a.pool.CurrentTAQIM())
+	other := newRigWith(t, a.pool.CurrentTAQIM(), 16)
 	_, mismatch := store.Recover(ms, other.pool, other.calib, other.leafs)
 	if !errors.Is(mismatch, store.ErrModelMismatch) {
 		t.Fatalf("different construction model: got %v, want ErrModelMismatch", mismatch)
