@@ -89,7 +89,7 @@ func BenchmarkHTTPSingleStep(b *testing.B) {
 // the per-step price to compare against BenchmarkHTTPSingleStep.
 func BenchmarkHTTPBatchStep(b *testing.B) {
 	const batchSize = 64
-	ts := benchServer(b, WithBatchWorkers(4), WithBufferLimit(64))
+	ts := benchServer(b, WithBufferLimit(64))
 	req := batchStepRequest{}
 	for i := 0; i < batchSize; i++ {
 		id := benchNewSeries(b, ts)
@@ -162,7 +162,7 @@ var benchSrv *Server
 // ns/step metric) to compare with the HTTP benchmarks.
 func BenchmarkServerStepBatch(b *testing.B) {
 	const batchSize = 64
-	handler, ids := benchHandlerServer(b, batchSize, WithBatchWorkers(4), WithBufferLimit(64))
+	handler, ids := benchHandlerServer(b, batchSize, WithBufferLimit(64))
 	req := batchStepRequest{}
 	for _, id := range ids {
 		req.Steps = append(req.Steps, stepRequest{SeriesID: id, Outcome: 14, PixelSize: 160})

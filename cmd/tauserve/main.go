@@ -7,7 +7,8 @@
 //
 // Session state lives in a sharded wrapper pool: opens, steps, and closes
 // on different series never contend on a global lock, and the batch endpoint
-// fans a slice of steps out across the shards with a bounded worker group.
+// fans a large batch out across the shards, one worker per 256 items and at
+// most one per schedulable CPU.
 // A runtime calibration monitor watches the estimates on live traffic:
 // ground truth reported to POST /v1/feedback is joined to the exact
 // estimates it judges, streamed into windowed Brier / reliability-bin / ECE
@@ -72,7 +73,7 @@
 // Usage:
 //
 //	tauserve [-addr :8080] [-tcp-addr ""] [-preset tiny|quick|paper]
-//	         [-shards 0] [-max-series 0] [-batch-workers 0] [-buffer-limit 0]
+//	         [-shards 0] [-max-series 0] [-buffer-limit 0]
 //	         [-feedback-ring 256] [-brier-window 1024] [-calib-bins 10]
 //	         [-drift-delta -1] [-drift-lambda 25] [-drift-min-samples 200]
 //	         [-auto-recalib] [-recalib-min-leaf 50] [-recalib-cooldown 1m]
@@ -156,7 +157,6 @@ func run(args []string) error {
 				"from the study of the same name and compiled into the binary)")
 		shards       = fs.Int("shards", 0, "wrapper-pool shard count (0 = default, rounded up to a power of two)")
 		maxSeries    = fs.Int("max-series", 0, "cap on concurrently open series (0 = unlimited)")
-		batchWorkers = fs.Int("batch-workers", 0, "max goroutines per /v1/steps request (0 = GOMAXPROCS)")
 		bufferLimit  = fs.Int("buffer-limit", 0, "per-series timeseries buffer cap (0 = unbounded)")
 		feedbackRing = fs.Int("feedback-ring", DefaultFeedbackRing,
 			"cap on the per-series provenance ring joined by /v1/feedback: how many "+
@@ -288,8 +288,7 @@ func run(args []string) error {
 	opts := []ServerOption{
 		WithTrace(flight),
 		WithPoolShards(*shards), WithMaxSeries(*maxSeries),
-		WithBatchWorkers(*batchWorkers), WithBufferLimit(*bufferLimit),
-		WithFeedbackRing(*feedbackRing),
+		WithBufferLimit(*bufferLimit), WithFeedbackRing(*feedbackRing),
 		WithMonitorConfig(monitor.Config{
 			Window: *brierWindow,
 			Bins:   *calibBins,

@@ -131,7 +131,7 @@ func (s *Server) stepBatch(ctx context.Context, x *exchange, sc *serveScratch) (
 	if s.requestTimeout > 0 {
 		ctx, cancel = context.WithDeadline(ctx, x.start.Add(s.requestTimeout))
 	}
-	sc.results = s.pool.StepBatchSeriesIntoCtx(ctx, sc.items, s.batchWorkers, sc.results)
+	sc.results = s.pool.StepBatchSeriesIntoCtx(ctx, sc.items, 0, sc.results)
 	if cancel != nil {
 		cancel()
 	}

@@ -50,9 +50,8 @@ const (
 // mutable state beyond shard-aligned monitoring counters, so request
 // handling scales with the pool's shard count.
 type Server struct {
-	gate         *simplex.Monitor
-	pool         *core.WrapperPool
-	batchWorkers int
+	gate *simplex.Monitor
+	pool *core.WrapperPool
 
 	// calib is the runtime calibration monitor fed by /v1/feedback; expo
 	// renders it (plus the pool counters, gate counts, and the latency
@@ -114,7 +113,6 @@ type ServerOption func(*serverOptions)
 type serverOptions struct {
 	maxSeries      int
 	shards         int
-	batchWorkers   int
 	bufferLimit    int
 	feedbackRing   int
 	monitorCfg     monitor.Config
@@ -144,12 +142,6 @@ func WithMaxSeries(n int) ServerOption {
 // WithPoolShards overrides the wrapper pool's shard count (0 = default).
 func WithPoolShards(n int) ServerOption {
 	return func(o *serverOptions) { o.shards = n }
-}
-
-// WithBatchWorkers bounds the per-request fan-out of POST /v1/steps
-// (0 = one worker per schedulable CPU).
-func WithBatchWorkers(n int) ServerOption {
-	return func(o *serverOptions) { o.batchWorkers = n }
 }
 
 // WithBufferLimit caps each series' timeseries buffer (0 = unbounded). The
@@ -278,7 +270,6 @@ func NewServer(base *uw.Wrapper, taqim *uw.QualityImpactModel, policy simplex.Po
 	s := &Server{
 		gate:           gate,
 		pool:           pool,
-		batchWorkers:   o.batchWorkers,
 		calib:          calib,
 		leafStats:      leafStats,
 		recal:          recal,

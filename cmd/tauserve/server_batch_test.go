@@ -214,8 +214,8 @@ func TestServerSeriesLeakRegression(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	// Pre-fix, the failed create leaked its freshly minted id ("s2") into
-	// the registry and a step on it answered 500 (unknown track).
+	// The failed create minted "s2" without opening its track; a step on it
+	// must answer 404 (unknown series), not 500 (unknown track).
 	resp = postJSON(t, ts.URL+"/v1/step", stepRequest{SeriesID: "s2", Outcome: 1, PixelSize: 100})
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("step on leaked id = %d, want 404", resp.StatusCode)
@@ -244,7 +244,7 @@ func TestServerSeriesLeakRegression(t *testing.T) {
 // the server simultaneously (run under -race): every request must succeed
 // and the stats must account for every gated step.
 func TestServerConcurrentBatchClients(t *testing.T) {
-	ts := testServerWith(t, WithPoolShards(8), WithBatchWorkers(4))
+	ts := testServerWith(t, WithPoolShards(8))
 	const (
 		clients  = 8
 		rounds   = 5

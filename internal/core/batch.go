@@ -94,11 +94,12 @@ var batchParallelism = func() int {
 	return p
 }
 
-// maxUsefulWorkers caps a requested worker count at the parallelism that can
-// actually help for n items: one worker per minItemsPerWorker chunk of
-// expected work, and never more than the schedulable CPUs.
+// maxUsefulWorkers caps a requested worker count (0 or less: no caller cap)
+// at the parallelism that can actually help for n items: one worker per
+// minItemsPerWorker chunk of expected work, and never more than the
+// schedulable CPUs.
 func maxUsefulWorkers(n, workers int) int {
-	if byWork := (n + minItemsPerWorker - 1) / minItemsPerWorker; workers > byWork {
+	if byWork := (n + minItemsPerWorker - 1) / minItemsPerWorker; workers <= 0 || workers > byWork {
 		workers = byWork
 	}
 	if p := batchParallelism(); workers > p {
@@ -108,7 +109,8 @@ func maxUsefulWorkers(n, workers int) int {
 }
 
 // StepBatch feeds a batch of timesteps to the pool, fanning the work out
-// across shards with at most `workers` goroutines (0 means one per
+// across shards with at most `workers` goroutines (0 sets no cap beyond the
+// pool's own: one worker per minItemsPerWorker items, at most one per
 // schedulable CPU). Results are returned in input order in a freshly
 // allocated slice; hot loops that want the allocation-free path should hold
 // onto a result slice and use StepBatchInto.
@@ -122,10 +124,10 @@ func (p *WrapperPool) StepBatch(items []StepItem, workers int) []BatchResult {
 // without a channel or closures. The returned slice must be used instead of
 // dst (it may be reallocated, exactly like append).
 //
-// Items are grouped by shard before dispatch, which has two effects: a
-// worker takes each shard lock once per batch instead of once per item, and
-// multiple items addressing the same track are applied in their input order
-// (they hash to the same shard, so one worker handles them sequentially).
+// Items are grouped by shard before dispatch so that every item of one track
+// lands on one worker, which applies them in their input order (same-track
+// items hash to the same shard, and a worker steps a shard's group
+// sequentially). Each item's Step still takes its track's shard lock.
 func (p *WrapperPool) StepBatchInto(items []StepItem, workers int, dst []BatchResult) []BatchResult {
 	return p.StepBatchIntoCtx(context.Background(), items, workers, dst)
 }
@@ -182,9 +184,6 @@ func (p *WrapperPool) StepBatchIntoCtx(ctx context.Context, items []StepItem, wo
 		defer p.traceBatch(p.trace.Now(), len(items))
 	}
 	done := ctx.Done()
-	if workers <= 0 {
-		workers = defaultWorkers()
-	}
 	workers = maxUsefulWorkers(len(items), workers)
 	if workers <= 1 || len(items) == 1 {
 		stepSpan(ctx, done, p, items, out)
@@ -328,9 +327,9 @@ func (s *batchScratch) release() {
 }
 
 // StepBatchSeries is StepBatch addressed by string series ids: each id is
-// resolved through the sharded registry, unknown ids fail their item with
-// ErrUnknownSeries (wrapped), and all resolvable items proceed as one track
-// batch. Results are returned in input order in a fresh slice.
+// parsed into the track it names, ids that name no open track fail their
+// item with ErrUnknownSeries (wrapped), and all parsed items proceed as one
+// track batch. Results are returned in input order in a fresh slice.
 func (p *WrapperPool) StepBatchSeries(items []SeriesStepItem, workers int) []BatchResult {
 	return p.StepBatchSeriesInto(items, workers, nil)
 }
@@ -344,9 +343,11 @@ func (p *WrapperPool) StepBatchSeriesInto(items []SeriesStepItem, workers int, d
 }
 
 // StepBatchSeriesIntoCtx is StepBatchSeriesInto honouring ctx (see
-// StepBatchIntoCtx): id resolution always completes — it is pure map
-// lookups — and the stepping pass sheds once ctx is canceled, so unknown
-// ids keep their specific error while unstepped items report ctx.Err().
+// StepBatchIntoCtx): id parsing always completes — it takes no lock — and
+// the stepping pass sheds once ctx is canceled, so malformed ids keep their
+// specific error while unstepped items report ctx.Err(). An id that parses
+// but whose track is not open fails in the stepping pass, like a track
+// batch's unknown track.
 func (p *WrapperPool) StepBatchSeriesIntoCtx(ctx context.Context, items []SeriesStepItem, workers int, dst []BatchResult) []BatchResult {
 	out := xslice.Grow(dst, len(items))
 	if len(items) == 0 {
@@ -356,9 +357,9 @@ func (p *WrapperPool) StepBatchSeriesIntoCtx(ctx context.Context, items []Series
 	s.tracks = s.tracks[:0]
 	s.back = s.back[:0]
 	for i, it := range items {
-		track, err := p.ResolveSeries(it.SeriesID)
-		if err != nil {
-			out[i].Result, out[i].Err = Result{}, err
+		track, ok := parseSeries(it.SeriesID)
+		if !ok {
+			out[i].Result, out[i].Err = Result{}, unknownSeries(it.SeriesID)
 			continue
 		}
 		s.tracks = append(s.tracks, StepItem{TrackID: track, Outcome: it.Outcome, Quality: it.Quality})

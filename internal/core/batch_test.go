@@ -369,8 +369,8 @@ func TestStepBatchFanOutForced(t *testing.T) {
 }
 
 // TestMaxUsefulWorkers pins the capping arithmetic: small batches always run
-// inline, the per-worker floor splits large batches, and the CPU cap wins
-// over the request.
+// inline, the per-worker floor splits large batches, the CPU cap wins over
+// the request, and a zero request leaves only those two caps.
 func TestMaxUsefulWorkers(t *testing.T) {
 	forceBatchParallelism(t, 4)
 	cases := []struct{ n, workers, want int }{
@@ -380,6 +380,11 @@ func TestMaxUsefulWorkers(t *testing.T) {
 		{4 * minItemsPerWorker, 16, 4},
 		{100 * minItemsPerWorker, 16, 4}, // CPU cap
 		{100 * minItemsPerWorker, 2, 2},  // request below caps is honoured
+		// workers=0 sets no caller cap: one worker per minItemsPerWorker
+		// items, at most the forced CPU count.
+		{1, 0, 1},
+		{minItemsPerWorker + 1, 0, 2},
+		{100 * minItemsPerWorker, 0, 4},
 	}
 	for _, c := range cases {
 		if got := maxUsefulWorkers(c.n, c.workers); got != c.want {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"github.com/iese-repro/tauw/internal/uw"
@@ -88,4 +89,32 @@ func fuzzQIMConfig() uw.QIMConfig {
 	cfg.MinLeafCalibration = 60
 	cfg.TreeDepth = 4
 	return cfg
+}
+
+// FuzzSeriesID pins the series id grammar from both sides: an id that
+// parseSeries accepts is byte for byte the id seriesID formats for its
+// number, so every open series has exactly one id, and every number a
+// series can have (1 through math.MaxInt) round-trips to its track.
+func FuzzSeriesID(f *testing.F) {
+	for _, id := range []string{
+		"s1", "s10", "", "s", "s0", "s01", "s+1", "s-1", "S1", " s1", "s1 ", "s1x", "s1_0", "s٣",
+		"s9223372036854775807", "s9223372036854775808", "s18446744073709551616",
+	} {
+		f.Add(id, uint64(len(id)))
+	}
+	f.Add("s1", uint64(math.MaxUint64))
+	f.Fuzz(func(t *testing.T, id string, n uint64) {
+		if track, ok := parseSeries(id); ok {
+			if track >= 0 {
+				t.Fatalf("parseSeries(%q) = track %d, want a negative track", id, track)
+			}
+			if got := seriesID(uint64(-track)); got != id {
+				t.Fatalf("parseSeries(%q) = track %d, whose id is %q", id, track, got)
+			}
+		}
+		n = n%math.MaxInt + 1
+		if track, ok := parseSeries(seriesID(n)); !ok || track != -int(n) {
+			t.Fatalf("parseSeries(seriesID(%d)) = %d, %v, want %d", n, track, ok, -int(n))
+		}
+	})
 }

@@ -215,7 +215,7 @@ func (p *WrapperPool) takeFeedback(trackID, step int) (FeedbackRecord, error) {
 	pw, ok := sh.tracks[trackID]
 	sh.mu.Unlock()
 	if !ok {
-		return FeedbackRecord{}, fmt.Errorf("%w: %d", ErrUnknownTrack, trackID)
+		return FeedbackRecord{}, unknownTrack(trackID)
 	}
 	pw.mu.Lock()
 	defer pw.mu.Unlock()

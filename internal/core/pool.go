@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"strconv"
 	"sync"
@@ -23,9 +24,10 @@ import (
 // serialised; steps for different tracks proceed independently. The pool is
 // safe for concurrent use.
 //
-// Alongside the integer track ids the pool keeps a sharded registry of
-// string series ids (OpenSeries/StepSeries/CloseSeries), the session handle
-// a network serving layer hands to clients.
+// Alongside the integer track ids the pool mints string series ids
+// (OpenSeries/StepSeries/CloseSeries), the session handle a network serving
+// layer hands to clients. A series id names its track: "s<n>" is track -n
+// (see seriesID and parseSeries).
 type WrapperPool struct {
 	base      *uw.Wrapper
 	taqim     *uw.QualityImpactModel
@@ -46,7 +48,6 @@ type WrapperPool struct {
 	nextSeries atomic.Uint64
 
 	shards []trackShard
-	series []seriesShard
 	// shardShift is 64 - log2(len(shards)): shard selection takes the top
 	// bits of the Fibonacci hash (see shardIndex).
 	shardShift uint8
@@ -149,7 +150,6 @@ func NewWrapperPool(base *uw.Wrapper, taqim *uw.QualityImpactModel, cfg Config, 
 		cfg:        cfg,
 		maxTracks:  maxTracks,
 		shards:     make([]trackShard, nshards),
-		series:     make([]seriesShard, nshards),
 		shardShift: uint8(64 - bits.TrailingZeros(uint(nshards))),
 		monitored:  o.monitored,
 		ringSize:   o.ringSize,
@@ -162,9 +162,6 @@ func NewWrapperPool(base *uw.Wrapper, taqim *uw.QualityImpactModel, cfg Config, 
 	p.model.Store(&modelState{qim: taqim, version: 1})
 	for i := range p.shards {
 		p.shards[i].tracks = make(map[int]*pooledWrapper)
-	}
-	for i := range p.series {
-		p.series[i].ids = make(map[string]int)
 	}
 	return p, nil
 }
@@ -181,14 +178,29 @@ var ErrTrackBudget = errors.New("core: track budget exhausted")
 var ErrUnknownTrack = errors.New("core: unknown track")
 
 // ErrUnknownSeries is returned when stepping or closing a string series id
-// that is not registered (never issued, or already closed).
+// that names no open track (never issued, already closed, or not a series
+// id at all). A series track that is not open answers both ErrUnknownTrack
+// and ErrUnknownSeries (see unknownTrack).
 var ErrUnknownSeries = errors.New("core: unknown series")
+
+// unknownSeries is the error of an operation on a series id that names no
+// open track.
+func unknownSeries(id string) error { return fmt.Errorf("%w: %q", ErrUnknownSeries, id) }
+
+// unknownTrack is the error of an operation on a track that is not open. For
+// a series track it also wraps unknownSeries of its id, so a series-level
+// caller can match the not-found condition whichever layer found it.
+func unknownTrack(trackID int) error {
+	if trackID < 0 {
+		return fmt.Errorf("%w: %w", unknownSeries(seriesID(uint64(-int64(trackID)))), ErrUnknownTrack)
+	}
+	return fmt.Errorf("%w: %d", ErrUnknownTrack, trackID)
+}
 
 // Open starts a fresh timeseries for the given track id; an existing track
 // with the same id is reset (the tracker said the object changed). Track
-// ids must be non-negative: the negative space is reserved for the series
-// registry (see OpenSeries), and letting callers open into it would alias
-// registry-owned tracks.
+// ids must be non-negative: the negative space belongs to series ids (see
+// OpenSeries), and letting callers open into it would alias series tracks.
 func (p *WrapperPool) Open(trackID int) error {
 	if trackID < 0 {
 		return fmt.Errorf("core: track id %d must be >= 0 (negative ids are reserved for series)", trackID)
@@ -258,7 +270,7 @@ func (p *WrapperPool) Step(trackID, outcome int, quality []float64) (Result, err
 		if p.trace != nil {
 			p.trace.RecordSince(traceStart, trace.KindStep, trace.StatusNotFound, uint16(shard), uint64(trackID), 0)
 		}
-		return Result{}, fmt.Errorf("%w: %d", ErrUnknownTrack, trackID)
+		return Result{}, unknownTrack(trackID)
 	}
 	pw.mu.Lock()
 	// One atomic load pins this step's model revision: a concurrent
@@ -290,7 +302,7 @@ func (p *WrapperPool) Close(trackID int) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if _, ok := sh.tracks[trackID]; !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownTrack, trackID)
+		return unknownTrack(trackID)
 	}
 	delete(sh.tracks, trackID)
 	p.active.Add(-1)
@@ -305,66 +317,74 @@ func (p *WrapperPool) Close(trackID int) error {
 // Active returns the number of open tracks.
 func (p *WrapperPool) Active() int { return int(p.active.Load()) }
 
-// OpenSeries mints a fresh string series id, opens its track, and registers
-// the id. The track opens before the id becomes resolvable, so a failed
-// open (e.g. exhausted budget) leaves nothing behind — later steps on the
-// minted id report ErrUnknownSeries, a not-found condition — and a raced
-// CloseSeries on a predicted id can never orphan a half-open track.
+// OpenSeries mints a fresh string series id and opens its track. The id is
+// resolvable exactly while its track is open, so a failed open (e.g.
+// exhausted budget) leaves nothing behind: later steps on the minted id
+// report ErrUnknownSeries, a not-found condition.
 //
-// Series tracks live in the negative track-id space (see seriesTrack), so
+// Series tracks live in the negative track-id space (see parseSeries), so
 // they never collide with tracker-assigned ids passed to Open directly.
 func (p *WrapperPool) OpenSeries() (string, error) {
 	n := p.nextSeries.Add(1)
-	id := "s" + strconv.FormatUint(n, 10)
-	track := seriesTrack(n)
-	if err := p.open(track); err != nil {
+	if err := p.open(-int(n)); err != nil {
 		return "", err
 	}
-	ssh := p.seriesShardFor(id)
-	ssh.mu.Lock()
-	ssh.ids[id] = track
-	ssh.mu.Unlock()
-	return id, nil
+	return seriesID(n), nil
 }
 
-// seriesTrack maps a minted series number onto the negative track-id space.
-// Trackers hand non-negative object ids to Open; keeping registry-minted
-// tracks negative means the two id families can share one pool without the
-// series layer ever resetting or closing a tracker's track.
-func seriesTrack(n uint64) int { return -int(n) }
+// seriesID formats the id of minted series number n: "s" then n in decimal.
+func seriesID(n uint64) string { return "s" + strconv.FormatUint(n, 10) }
 
-// ResolveSeries maps a series id to its track id.
+// parseSeries returns the track a series id names: -n for "s<n>". It accepts
+// exactly the strings seriesID emits for 1 <= n <= math.MaxInt — no sign, no
+// leading zero, no other byte — so every open series has one id and an id
+// that fails to parse names no series. Trackers hand non-negative object ids
+// to Open; keeping series tracks negative means the two id families share one
+// pool without the series layer ever resetting or closing a tracker's track.
+func parseSeries(id string) (int, bool) {
+	if len(id) < 2 || id[0] != 's' || id[1] == '0' {
+		return 0, false
+	}
+	n := 0
+	for i := 1; i < len(id); i++ {
+		d := int(id[i]) - '0'
+		if d < 0 || d > 9 || n > (math.MaxInt-d)/10 {
+			return 0, false
+		}
+		n = n*10 + d
+	}
+	return -n, true
+}
+
+// ResolveSeries maps the id of an open series to its track id.
 func (p *WrapperPool) ResolveSeries(id string) (int, error) {
-	ssh := p.seriesShardFor(id)
-	ssh.mu.Lock()
-	track, ok := ssh.ids[id]
-	ssh.mu.Unlock()
+	track, ok := parseSeries(id)
+	if ok {
+		sh := p.trackShardFor(track)
+		sh.mu.Lock()
+		_, ok = sh.tracks[track]
+		sh.mu.Unlock()
+	}
 	if !ok {
-		return 0, fmt.Errorf("%w: %q", ErrUnknownSeries, id)
+		return 0, unknownSeries(id)
 	}
 	return track, nil
 }
 
 // StepSeries feeds one timestep to the series' wrapper.
 func (p *WrapperPool) StepSeries(id string, outcome int, quality []float64) (Result, error) {
-	track, err := p.ResolveSeries(id)
-	if err != nil {
-		return Result{}, err
+	track, ok := parseSeries(id)
+	if !ok {
+		return Result{}, unknownSeries(id)
 	}
 	return p.Step(track, outcome, quality)
 }
 
 // CloseSeries retires a series and its track.
 func (p *WrapperPool) CloseSeries(id string) error {
-	ssh := p.seriesShardFor(id)
-	ssh.mu.Lock()
-	track, ok := ssh.ids[id]
-	if ok {
-		delete(ssh.ids, id)
-	}
-	ssh.mu.Unlock()
+	track, ok := parseSeries(id)
 	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownSeries, id)
+		return unknownSeries(id)
 	}
 	return p.Close(track)
 }

@@ -11,7 +11,7 @@ import (
 
 // The tests in this file are the race-hardening suite for the sharded pool:
 // they are written to be run under `go test -race` and hammer every pool
-// entry point (Open/Step/Close/Active and the series registry) from many
+// entry point (Open/Step/Close/Active and the series ids) from many
 // goroutines at once. Assertions focus on invariants that must hold under
 // any interleaving; the race detector covers the rest.
 
@@ -195,7 +195,7 @@ func TestWrapperPoolBudgetRace(t *testing.T) {
 	}
 }
 
-// TestWrapperPoolSeriesRace drives the string-series registry concurrently:
+// TestWrapperPoolSeriesRace drives the string series ids concurrently:
 // every goroutine opens its own series, steps it, and closes it. Ids must be
 // unique across goroutines and the pool must drain.
 func TestWrapperPoolSeriesRace(t *testing.T) {
@@ -254,7 +254,7 @@ func TestWrapperPoolSeriesRace(t *testing.T) {
 }
 
 // TestSeriesTracksDisjointFromManualIDs pins the namespace contract: series
-// minted through the registry must never collide with tracker-assigned ids
+// minted by OpenSeries must never collide with tracker-assigned ids
 // passed to Open directly, even when both count from 1.
 func TestSeriesTracksDisjointFromManualIDs(t *testing.T) {
 	pool, st := poolFixture(t, 0)
@@ -292,11 +292,11 @@ func TestSeriesTracksDisjointFromManualIDs(t *testing.T) {
 	}
 }
 
-// TestOpenSeriesUnregistersOnFailure is the regression test for the series
-// leak: a series whose underlying open fails (budget exhausted) must not
-// stay registered — stepping or closing it reports unknown-series, the
-// not-found condition, rather than an internal unknown-track error.
-func TestOpenSeriesUnregistersOnFailure(t *testing.T) {
+// TestOpenSeriesFailureLeavesNoSeries is the regression test for the series
+// leak: a series whose underlying open fails (budget exhausted) must leave
+// nothing behind — stepping or closing its minted id reports unknown-series,
+// the not-found condition, rather than an internal unknown-track error.
+func TestOpenSeriesFailureLeavesNoSeries(t *testing.T) {
 	pool, st := poolFixture(t, 1)
 	id1, err := pool.OpenSeries()
 	if err != nil {

@@ -102,7 +102,7 @@ func TestWrapperPoolValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Negative ids are the series registry's reserved space.
+	// Negative ids are the series ids' reserved space.
 	if err := pool.Open(-1); err == nil {
 		t.Error("negative track id must fail")
 	}

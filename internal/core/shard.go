@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"unsafe"
 )
@@ -40,24 +39,6 @@ type trackShardState struct {
 type trackShard struct {
 	trackShardState
 	_ [shardPad - unsafe.Sizeof(trackShardState{})%shardPad]byte
-}
-
-// seriesShardState is the payload of one registry shard: one slice of the
-// string-series-id registry. The registry is sharded independently of the
-// track maps: a series id hashes by string, its track by integer, so the
-// two layers scale without coordinating.
-type seriesShardState struct {
-	//tauw:notrace
-	mu  sync.Mutex
-	ids map[string]int
-}
-
-// seriesShard pads the registry shard to the shard stride (see trackShard).
-//
-//tauw:pad=128
-type seriesShard struct {
-	seriesShardState
-	_ [shardPad - unsafe.Sizeof(seriesShardState{})%shardPad]byte
 }
 
 // normShards validates and normalises a shard-count request: 0 means
@@ -101,23 +82,3 @@ func (p *WrapperPool) shardIndex(trackID int) uint64 {
 func (p *WrapperPool) trackShardFor(trackID int) *trackShard {
 	return &p.shards[p.shardIndex(trackID)]
 }
-
-// seriesShardFor selects the registry shard owning a series id (FNV-1a,
-// then the same top-bits extraction as shardIndex — FNV mixes low bits
-// well, the multiply propagates them up).
-func (p *WrapperPool) seriesShardFor(id string) *seriesShard {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(id); i++ {
-		h ^= uint64(id[i])
-		h *= prime64
-	}
-	return &p.series[(h*fibMul)>>p.shardShift]
-}
-
-// defaultWorkers bounds a batch fan-out when the caller does not: one worker
-// per schedulable CPU, never more than one per shard group.
-func defaultWorkers() int { return runtime.GOMAXPROCS(0) }

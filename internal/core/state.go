@@ -17,7 +17,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"strconv"
 
 	"github.com/iese-repro/tauw/internal/fusion"
 	"github.com/iese-repro/tauw/internal/uw"
@@ -51,8 +50,8 @@ type ProvEntry struct {
 // at its existing capacity, so a steady-state flush loop allocates nothing
 // once the high-water marks are reached.
 type SeriesState struct {
-	// Track is the pool track id; negative ids are registry-minted series
-	// (their string id is derivable, see SeriesID).
+	// Track is the pool track id; negative ids are minted series (their
+	// string id is derivable, see SeriesID).
 	Track int
 	// Total is the number of steps since the series began, including
 	// records a full ring buffer has evicted.
@@ -77,13 +76,13 @@ type SeriesState struct {
 	arena []float64
 }
 
-// SeriesID returns the string series id of a registry-minted track ("s<n>"
+// SeriesID returns the string series id of a minted series track ("s<n>"
 // for Track -n) and "" for tracker-assigned non-negative tracks.
 func (st *SeriesState) SeriesID() string {
 	if st.Track >= 0 {
 		return ""
 	}
-	return "s" + strconv.FormatUint(uint64(-int64(st.Track)), 10)
+	return seriesID(uint64(-int64(st.Track)))
 }
 
 // snapshotInto captures the track's state. Called with pw.mu held; the
@@ -162,7 +161,7 @@ func (p *WrapperPool) SnapshotTrack(trackID int, st *SeriesState) error {
 	pw, ok := sh.tracks[trackID]
 	sh.mu.Unlock()
 	if !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownTrack, trackID)
+		return unknownTrack(trackID)
 	}
 	pw.mu.Lock()
 	pw.snapshotInto(trackID, st)
@@ -348,13 +347,9 @@ func (p *WrapperPool) RestoreTrack(st *SeriesState) error {
 	sh.mu.Unlock()
 
 	if st.Track < 0 {
-		n := uint64(-int64(st.Track))
-		id := "s" + strconv.FormatUint(n, 10)
-		ssh := p.seriesShardFor(id)
-		ssh.mu.Lock()
-		ssh.ids[id] = st.Track
-		ssh.mu.Unlock()
-		p.SetSeriesCounter(n)
+		// The restored id resolves through its track; only the counter must
+		// move past it so later OpenSeries calls never mint it again.
+		p.SetSeriesCounter(uint64(-int64(st.Track)))
 	}
 	return nil
 }
