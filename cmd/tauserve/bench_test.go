@@ -86,7 +86,10 @@ func BenchmarkHTTPSingleStep(b *testing.B) {
 
 // BenchmarkHTTPBatchStep measures the batched path: 64 series advance one
 // step in a single request. Reported time is per request; divide by 64 for
-// the per-step price to compare against BenchmarkHTTPSingleStep.
+// the per-step price to compare against BenchmarkHTTPSingleStep. As in
+// BenchmarkWireBatchStep, benchWarmBatches untimed requests first fill
+// every buffer and grow every provenance ring to its cap, so the timed
+// requests measure the steady state whatever -benchtime is.
 func BenchmarkHTTPBatchStep(b *testing.B) {
 	const batchSize = 64
 	ts := benchServer(b, WithBufferLimit(64))
@@ -94,6 +97,14 @@ func BenchmarkHTTPBatchStep(b *testing.B) {
 	for i := 0; i < batchSize; i++ {
 		id := benchNewSeries(b, ts)
 		req.Steps = append(req.Steps, stepRequest{SeriesID: id, Outcome: 14, PixelSize: 160})
+	}
+	for i := 0; i < benchWarmBatches; i++ {
+		resp := benchPost(b, ts.URL+"/v1/steps", req)
+		_, _ = io.Copy(io.Discard, resp.Body) // drained so the connection is reused
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			b.Fatalf("warm-up batch = %d", resp.StatusCode)
+		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -156,10 +167,16 @@ func benchHandlerServer(b *testing.B, n int, opts ...ServerOption) (http.Handler
 // handler benchmarks can bypass the socket.
 var benchSrv *Server
 
+// benchWarmBatches is the number of untimed batches the batch benchmarks
+// send first: past the 64-record buffer cap and the default 256-slot
+// provenance ring, which a series' ring reaches at step 129.
+const benchWarmBatches = 160
+
 // BenchmarkServerStepBatch is the server-side price of one 64-item batch
 // request: reflection-free decode, pool dispatch, gate, append-based encode,
 // one Write — no client JSON, no network. Divide ns/op by 64 (or read the
-// ns/step metric) to compare with the HTTP benchmarks.
+// ns/step metric) to compare with the HTTP benchmarks. benchWarmBatches
+// untimed requests first bring every series to its steady state.
 func BenchmarkServerStepBatch(b *testing.B) {
 	const batchSize = 64
 	handler, ids := benchHandlerServer(b, batchSize, WithBufferLimit(64))
@@ -174,9 +191,7 @@ func BenchmarkServerStepBatch(b *testing.B) {
 	httpReq := httptest.NewRequest(http.MethodPost, "/v1/steps", nil)
 	var rd bytes.Reader
 	w := &discardWriter{}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	serve := func() {
 		rd.Reset(body)
 		httpReq.Body = io.NopCloser(&rd)
 		w.code = 0
@@ -184,6 +199,14 @@ func BenchmarkServerStepBatch(b *testing.B) {
 		if w.code != http.StatusOK {
 			b.Fatalf("batch = %d", w.code)
 		}
+	}
+	for i := 0; i < benchWarmBatches; i++ {
+		serve()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batchSize), "ns/step")
 }

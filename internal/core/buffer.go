@@ -35,9 +35,9 @@ type Record struct {
 //
 // Alongside the records the buffer maintains running per-outcome statistics
 // (vote counts and certainty sums), updated on every append and eviction, so
-// the four taQF can be derived in O(1) instead of a full-series scan (see
-// FeaturesAt). ComputeFeatures remains the reference oracle the incremental
-// stats are tested against.
+// the four taQF can be derived without a full-series scan (see FeaturesAt).
+// ComputeFeatures remains the reference oracle the incremental stats are
+// tested against.
 type Buffer struct {
 	records []Record
 	limit   int
@@ -49,33 +49,56 @@ type Buffer struct {
 	// length factor uses the buffered count — the window the other factors
 	// are computed over — while total makes eviction observable.
 	total int
-	// stats holds the running per-outcome statistics. A key is deleted as
-	// soon as its count reaches zero, so len(stats) is the distinct-outcome
-	// taQF and floating-point eviction drift in a certainty sum dies with
-	// its class.
-	stats map[int]outcomeStat
+	// stats holds one entry per outcome class in the window, in no
+	// particular order. One sign encounter shows a handful of classes, so
+	// a linear scan finds an entry faster than a hash map would, and every
+	// step costs O(distinct outcomes in the window), the bound the fusion
+	// tally's vote already has. An entry is swap-removed as soon as its
+	// count reaches zero, so len(stats) is the distinct-outcome taQF and
+	// floating-point eviction drift in a certainty sum dies with its class.
+	stats []outcomeStat
 }
 
 // outcomeStat is the running state of one outcome class: how many buffered
 // records carry it and the sum of their certainties (1 - u_j).
 type outcomeStat struct {
+	outcome   int
 	count     int
 	certainty float64
 }
+
+// Initial capacities of a buffer's storage, sized so a typical encounter
+// never grows it: an unbounded buffer holds initialRecords records (as many
+// as a monitored track's first provenance ring) and the statistics
+// initialStats classes before either slice grows by append.
+const (
+	initialRecords = initialRingSlots
+	initialStats   = 4
+)
 
 // NewBuffer creates a buffer; limit 0 means unbounded.
 func NewBuffer(limit int) (*Buffer, error) {
 	if limit < 0 {
 		return nil, fmt.Errorf("core: buffer limit %d must be >= 0", limit)
 	}
-	b := &Buffer{
-		limit: limit,
-		stats: make(map[int]outcomeStat, 8),
-	}
-	if limit > 0 {
-		b.records = make([]Record, 0, limit)
-	}
+	b := &Buffer{}
+	b.init(limit)
 	return b, nil
+}
+
+// init allocates the storage of an empty buffer with a validated limit: the
+// records up to the limit (initialRecords when unbounded) and room for
+// initialStats outcome classes.
+func (b *Buffer) init(limit int) {
+	n := limit
+	if n == 0 {
+		n = initialRecords
+	}
+	*b = Buffer{
+		records: make([]Record, 0, n),
+		limit:   limit,
+		stats:   make([]outcomeStat, 0, initialStats),
+	}
 }
 
 // Append adds one timestep. When the buffer is a full ring it returns the
@@ -104,22 +127,41 @@ func (b *Buffer) Append(r Record) (evicted Record, wasEvicted bool) {
 	return evicted, true
 }
 
+// stat returns the index of the outcome's entry in stats, or -1.
+func (b *Buffer) stat(outcome int) int {
+	for i := range b.stats {
+		if b.stats[i].outcome == outcome {
+			return i
+		}
+	}
+	return -1
+}
+
 func (b *Buffer) statAdd(r Record) {
-	s := b.stats[r.Outcome]
+	i := b.stat(r.Outcome)
+	if i < 0 {
+		i = len(b.stats)
+		b.stats = append(b.stats, outcomeStat{outcome: r.Outcome})
+	}
+	s := &b.stats[i]
 	s.count++
 	s.certainty += 1 - r.Uncertainty
-	b.stats[r.Outcome] = s
 }
 
 func (b *Buffer) statRemove(r Record) {
-	s := b.stats[r.Outcome]
+	i := b.stat(r.Outcome)
+	if i < 0 {
+		return
+	}
+	s := &b.stats[i]
 	s.count--
 	if s.count <= 0 {
-		delete(b.stats, r.Outcome)
+		last := len(b.stats) - 1
+		b.stats[i] = b.stats[last]
+		b.stats = b.stats[:last]
 		return
 	}
 	s.certainty -= 1 - r.Uncertainty
-	b.stats[r.Outcome] = s
 }
 
 // Len returns the number of buffered timesteps.
@@ -138,19 +180,23 @@ func (b *Buffer) Reset() {
 	b.start = 0
 	b.full = false
 	b.total = 0
-	clear(b.stats)
+	b.stats = b.stats[:0]
 }
 
 // FeaturesAt derives all four taQF for the given fused outcome from the
-// running statistics in O(1) — no series scan. It is the incremental
-// equivalent of ComputeFeatures(b.Outcomes(), b.Uncertainties(), fused).
+// running statistics in O(distinct outcomes) — no series scan. It is the
+// incremental equivalent of ComputeFeatures(b.Outcomes(), b.Uncertainties(),
+// fused).
 func (b *Buffer) FeaturesAt(fused int) ([4]float64, error) {
 	var out [4]float64
 	n := len(b.records)
 	if n == 0 {
 		return out, ErrEmptySeries
 	}
-	s := b.stats[fused]
+	var s outcomeStat
+	if i := b.stat(fused); i >= 0 {
+		s = b.stats[i]
+	}
 	out[Ratio-1] = float64(s.count) / float64(n)
 	out[Length-1] = float64(n)
 	out[Size-1] = float64(len(b.stats))

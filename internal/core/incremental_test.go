@@ -18,46 +18,63 @@ const taqfTol = 1e-9
 
 // TestBufferFeaturesAtMatchesOracle drives random append/reset sequences —
 // with and without ring eviction — and checks after every append that the
-// O(1) running statistics agree with the ComputeFeatures oracle for every
-// plausible fused outcome.
+// running statistics agree with the ComputeFeatures oracle for every
+// plausible fused outcome. The wide alphabet adds negative and extreme
+// outcomes and more live classes than a fresh buffer has room for, as a
+// client may send any int.
 func TestBufferFeaturesAtMatchesOracle(t *testing.T) {
-	for _, limit := range []int{0, 1, 2, 5, 16} {
-		for seed := uint64(1); seed <= 8; seed++ {
-			rng := rand.New(rand.NewPCG(seed, uint64(limit)*31+1))
-			b, err := NewBuffer(limit)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for step := 0; step < 300; step++ {
-				if rng.IntN(40) == 0 {
-					b.Reset()
-					if b.TotalSteps() != 0 || b.Len() != 0 {
-						t.Fatal("reset must clear counters")
-					}
-					continue
+	alphabets := []struct {
+		name     string
+		outcomes []int
+	}{
+		{"small", []int{0, 1, 2, 3, 4}},
+		{"wide", []int{math.MinInt, -1 << 40, -7, -1, 0, 3, 1 << 40, math.MaxInt}},
+	}
+	for _, a := range alphabets {
+		// Every outcome class, present or not, is a valid fused candidate:
+		// absent classes must yield ratio/certainty 0.
+		candidates := append([]int{5, -5}, a.outcomes...)
+		live := 0 // the most classes one window held
+		for _, limit := range []int{0, 1, 2, 5, 16} {
+			for seed := uint64(1); seed <= 8; seed++ {
+				rng := rand.New(rand.NewPCG(seed, uint64(limit)*31+1))
+				b, err := NewBuffer(limit)
+				if err != nil {
+					t.Fatal(err)
 				}
-				b.Append(Record{Outcome: rng.IntN(5), Uncertainty: rng.Float64()})
-				outs := b.Outcomes()
-				us := b.Uncertainties()
-				// Every outcome class (present or not) is a valid fused
-				// candidate: absent classes must yield ratio/certainty 0.
-				for fused := 0; fused < 6; fused++ {
-					want, err := ComputeFeatures(outs, us, fused)
-					if err != nil {
-						t.Fatal(err)
+				for step := 0; step < 300; step++ {
+					if rng.IntN(40) == 0 {
+						b.Reset()
+						if b.TotalSteps() != 0 || b.Len() != 0 {
+							t.Fatal("reset must clear counters")
+						}
+						continue
 					}
-					got, err := b.FeaturesAt(fused)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for i := range want {
-						if math.Abs(want[i]-got[i]) > taqfTol {
-							t.Fatalf("limit %d seed %d step %d fused %d: taQF[%d] oracle %g, incremental %g",
-								limit, seed, step, fused, i, want[i], got[i])
+					b.Append(Record{Outcome: a.outcomes[rng.IntN(len(a.outcomes))], Uncertainty: rng.Float64()})
+					outs := b.Outcomes()
+					us := b.Uncertainties()
+					live = max(live, len(b.stats))
+					for _, fused := range candidates {
+						want, err := ComputeFeatures(outs, us, fused)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got, err := b.FeaturesAt(fused)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for i := range want {
+							if math.Abs(want[i]-got[i]) > taqfTol {
+								t.Fatalf("%s alphabet, limit %d seed %d step %d fused %d: taQF[%d] oracle %g, incremental %g",
+									a.name, limit, seed, step, fused, i, want[i], got[i])
+							}
 						}
 					}
 				}
 			}
+		}
+		if live < min(6, len(a.outcomes)) {
+			t.Errorf("%s alphabet: windows held at most %d live classes", a.name, live)
 		}
 	}
 }

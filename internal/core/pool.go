@@ -29,8 +29,10 @@ import (
 // layer hands to clients. A series id names its track: "s<n>" is track -n
 // (see seriesID and parseSeries).
 type WrapperPool struct {
-	base      *uw.Wrapper
-	taqim     *uw.QualityImpactModel
+	base  *uw.Wrapper
+	taqim *uw.QualityImpactModel
+	// cfg is the resolved configuration (defaults filled in); every
+	// track's wrapper shares its Features slice, which nothing writes.
 	cfg       Config
 	maxTracks int
 
@@ -79,7 +81,10 @@ type pooledWrapper struct {
 	//
 	//tauw:notrace
 	mu sync.Mutex
-	w  *Wrapper
+	// w is the track's wrapper, held by value with its buffer inside it:
+	// a track's fixed-size state is this one object, plus the storage its
+	// wrapper and ring allocate when the track opens.
+	w Wrapper
 	// ring is the track's provenance ring (nil unless the pool was built
 	// WithMonitoring and a positive ring size). It opens at
 	// initialRingSlots and doubles up to the pool's ringSize as the
@@ -140,10 +145,11 @@ func NewWrapperPool(base *uw.Wrapper, taqim *uw.QualityImpactModel, cfg Config, 
 	if o.ringSize < 0 {
 		return nil, fmt.Errorf("core: feedback ring size %d must be >= 0", o.ringSize)
 	}
-	// Validate the config once by assembling a probe wrapper.
-	if _, err := NewWrapper(base, taqim, cfg); err != nil {
+	cfg, err = resolveConfig(base, taqim, cfg)
+	if err != nil {
 		return nil, err
 	}
+	cfg.Features = append([]Feature(nil), cfg.Features...)
 	p := &WrapperPool{
 		base:       base,
 		taqim:      taqim,
@@ -234,12 +240,8 @@ func (p *WrapperPool) open(trackID int) error {
 		p.active.Add(-1)
 		return fmt.Errorf("%w: %d tracks open", ErrTrackBudget, p.maxTracks)
 	}
-	w, err := NewWrapper(p.base, p.taqim, p.cfg)
-	if err != nil {
-		p.active.Add(-1)
-		return err
-	}
-	pw := &pooledWrapper{w: w, dirty: true}
+	pw := &pooledWrapper{dirty: true}
+	pw.w.init(p.base, p.taqim, p.cfg)
 	if p.monitored && p.ringSize > 0 {
 		pw.ring = make([]provRecord, ringLen(0, p.ringSize))
 	}
@@ -333,7 +335,13 @@ func (p *WrapperPool) OpenSeries() (string, error) {
 }
 
 // seriesID formats the id of minted series number n: "s" then n in decimal.
-func seriesID(n uint64) string { return "s" + strconv.FormatUint(n, 10) }
+// It is formatted in a stack buffer that holds the longest id, so minting
+// costs one allocation, the string, whatever n is.
+func seriesID(n uint64) string {
+	var b [len("s18446744073709551615")]byte
+	b[0] = 's'
+	return string(strconv.AppendUint(b[:1], n, 10))
+}
 
 // parseSeries returns the track a series id names: -n for "s<n>". It accepts
 // exactly the strings seriesID emits for 1 <= n <= math.MaxInt — no sign, no

@@ -173,3 +173,51 @@ func TestClosedSeriesStepTraced(t *testing.T) {
 		t.Errorf("recorded %d step events, want 2 (StepSeries and one batch item on the closed id)", steps)
 	}
 }
+
+// servedEncounterAllocs is the heap allocation count of one served
+// encounter: the pooled wrapper with its buffer inside it, the buffer's
+// records and statistics, the tally and its votes, the taQIM row, the
+// provenance ring, and the minted series id. Everything is sized when the
+// series opens, so its steps allocate nothing.
+const servedEncounterAllocs = 8
+
+// TestServedEncounterAllocs pins what one encounter costs the heap on a
+// pool built like tauserve's — a 256-step feedback ring and the close
+// journal, drained as the durability layer's flusher would: open a series,
+// step it ten times (the study's encounter length), close it. Both the
+// server's default unbounded buffer and a 16-record cap are covered, and
+// the ids are as long as a server's after a billion series.
+func TestServedEncounterAllocs(t *testing.T) {
+	st := buildStudy(t)
+	taqim := fitTAQIM(t, st, nil)
+	s := st.testSeries[0]
+	for _, limit := range []int{0, 16} {
+		pool, err := NewWrapperPool(st.base, taqim, Config{BufferLimit: limit}, 0,
+			WithMonitoring(256), WithStateJournal())
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool.SetSeriesCounter(1e9)
+		var closed []int
+		allocs := testing.AllocsPerRun(100, func() {
+			id, err := pool.OpenSeries()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j := 0; j < 10; j++ {
+				k := j % len(s.Outcomes)
+				if _, err := pool.StepSeries(id, s.Outcomes[k], s.Quality[k]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := pool.CloseSeries(id); err != nil {
+				t.Fatal(err)
+			}
+			closed = pool.DrainClosed(closed[:0])
+		})
+		if allocs > servedEncounterAllocs {
+			t.Errorf("buffer limit %d: %.0f allocations per served encounter, want <= %d",
+				limit, allocs, servedEncounterAllocs)
+		}
+	}
+}

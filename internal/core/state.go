@@ -89,7 +89,7 @@ func (st *SeriesState) SeriesID() string {
 // capture is a deep copy, so the caller may encode st after releasing the
 // lock.
 func (pw *pooledWrapper) snapshotInto(trackID int, st *SeriesState) {
-	w := pw.w
+	w := &pw.w
 	st.Track = trackID
 	st.Total = w.buf.total
 
@@ -108,8 +108,8 @@ func (pw *pooledWrapper) snapshotInto(trackID int, st *SeriesState) {
 	})
 
 	st.Stats = st.Stats[:0]
-	for o, s := range w.buf.stats {
-		st.Stats = append(st.Stats, OutcomeStat{Outcome: o, Count: s.count, Certainty: s.certainty})
+	for _, s := range w.buf.stats {
+		st.Stats = append(st.Stats, OutcomeStat{Outcome: s.outcome, Count: s.count, Certainty: s.certainty})
 	}
 	sortStats(st.Stats)
 
@@ -256,14 +256,31 @@ func (p *WrapperPool) RestoreTrack(st *SeriesState) error {
 				st.Track, e.Step, st.Total)
 		}
 	}
-	w, err := NewWrapper(p.base, p.taqim, p.cfg)
-	if err != nil {
-		return err
+	// Stats in strictly ascending outcome order, as snapshotInto writes
+	// them: one pass proves every count positive and every outcome distinct,
+	// however many entries a decoded record carries.
+	for i, s := range st.Stats {
+		if s.Count <= 0 {
+			return fmt.Errorf("core: restore track %d: outcome %d count %d must be positive",
+				st.Track, s.Outcome, s.Count)
+		}
+		if i == 0 {
+			continue
+		}
+		if prev := st.Stats[i-1].Outcome; s.Outcome == prev {
+			return fmt.Errorf("core: restore track %d: duplicate stats for outcome %d", st.Track, s.Outcome)
+		} else if s.Outcome < prev {
+			return fmt.Errorf("core: restore track %d: stats for outcome %d follow outcome %d, want ascending outcomes",
+				st.Track, s.Outcome, prev)
+		}
 	}
+	pw := &pooledWrapper{}
+	w := &pw.w
+	w.init(p.base, p.taqim, p.cfg)
 
 	// Buffer: records in time order with start=0 is a canonical ring layout
 	// — eviction order from here on matches the uninterrupted original.
-	b := w.buf
+	b := &w.buf
 	totalQ := 0
 	for i := range st.Records {
 		totalQ += len(st.Records[i].Quality)
@@ -284,14 +301,7 @@ func (p *WrapperPool) RestoreTrack(st *SeriesState) error {
 	b.full = limit > 0 && len(b.records) == limit
 	b.total = st.Total
 	for _, s := range st.Stats {
-		if s.Count <= 0 {
-			return fmt.Errorf("core: restore track %d: outcome %d count %d must be positive",
-				st.Track, s.Outcome, s.Count)
-		}
-		if _, dup := b.stats[s.Outcome]; dup {
-			return fmt.Errorf("core: restore track %d: duplicate stats for outcome %d", st.Track, s.Outcome)
-		}
-		b.stats[s.Outcome] = outcomeStat{count: s.Count, certainty: s.Certainty}
+		b.stats = append(b.stats, outcomeStat{outcome: s.Outcome, count: s.Count, certainty: s.Certainty})
 	}
 
 	// Tally: exact state when both sides speak StatefulTally; otherwise
@@ -309,9 +319,8 @@ func (p *WrapperPool) RestoreTrack(st *SeriesState) error {
 		replayTally(w.tally, b)
 	}
 
-	var ring []provRecord
 	if p.monitored && p.ringSize > 0 {
-		ring = make([]provRecord, ringLen(uint64(st.Total), p.ringSize))
+		ring := make([]provRecord, ringLen(uint64(st.Total), p.ringSize))
 		for _, e := range st.Ring {
 			if e.Step == 0 {
 				continue
@@ -330,9 +339,9 @@ func (p *WrapperPool) RestoreTrack(st *SeriesState) error {
 				}
 			}
 		}
+		pw.ring = ring
 	}
 
-	pw := &pooledWrapper{w: w, ring: ring}
 	sh := p.trackShardFor(st.Track)
 	sh.mu.Lock()
 	_, existed := sh.tracks[st.Track]

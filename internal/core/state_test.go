@@ -20,7 +20,8 @@ func TestRestoreTrackRejects(t *testing.T) {
 		return pool
 	}
 	// snapshot captures track 3 after ten steps: a full buffer, a ring
-	// holding steps 1..10, and at least one outcome's running stats.
+	// holding steps 1..10, and the running stats and tally votes of at
+	// least two outcomes, so entries can be put out of order.
 	src := newPool()
 	if err := src.Open(3); err != nil {
 		t.Fatal(err)
@@ -38,6 +39,10 @@ func TestRestoreTrackRejects(t *testing.T) {
 			t.Fatal(err)
 		}
 		return &snap
+	}
+	if snap := snapshot(); len(snap.Stats) < 2 || len(snap.Tally.Votes) < 2 {
+		t.Fatalf("snapshot holds %d stats and %d votes, want at least 2 of each",
+			len(snap.Stats), len(snap.Tally.Votes))
 	}
 	if err := newPool().RestoreTrack(snapshot()); err != nil {
 		t.Fatalf("unmodified snapshot: %v", err)
@@ -58,8 +63,21 @@ func TestRestoreTrackRejects(t *testing.T) {
 			snap.Stats[0].Count = 0
 		}, "count 0 must be positive"},
 		{"duplicate outcome stats", func(snap *SeriesState) {
-			snap.Stats = append(snap.Stats, snap.Stats[0])
+			snap.Stats = append(snap.Stats[:1:1], snap.Stats...)
 		}, "duplicate stats for outcome"},
+		{"unsorted outcome stats", func(snap *SeriesState) {
+			snap.Stats = append(snap.Stats, snap.Stats[0])
+		}, "want ascending outcomes"},
+		{"non-positive vote count", func(snap *SeriesState) {
+			snap.Tally.Votes[0].Count = 0
+		}, "vote count 0 for outcome"},
+		{"duplicate tally votes", func(snap *SeriesState) {
+			snap.Tally.Votes = append(snap.Tally.Votes[:1:1], snap.Tally.Votes...)
+		}, "duplicate vote entry for outcome"},
+		{"unsorted tally votes", func(snap *SeriesState) {
+			v := snap.Tally.Votes
+			v[0], v[1] = v[1], v[0]
+		}, "want ascending outcomes"},
 		{"ring entry beyond the total", func(snap *SeriesState) {
 			snap.Ring[len(snap.Ring)-1].Step = uint64(snap.Total) + 1
 		}, "provenance step 11 > total steps 10"},

@@ -70,16 +70,17 @@ func (c Config) withDefaults() Config {
 //
 // When the fusion rule has an incremental form (fusion.Incremental — the
 // default majority vote does), Step runs a fast path that is O(1) in the
-// series length and allocation-free in steady state: the fused outcome comes
-// from a running tally, the taQF from the buffer's running statistics, and
-// the taQIM row is assembled into a reused scratch slice. Other fusers fall
-// back to the reference full-series path.
+// series length — O(distinct outcomes in the window) — and allocation-free
+// in steady state: the fused outcome comes from a running tally, the taQF
+// from the buffer's running statistics, and the taQIM row is assembled into
+// a scratch slice sized at construction. Other fusers fall back to the
+// reference full-series path.
 type Wrapper struct {
 	base  *uw.Wrapper
 	taqim *uw.QualityImpactModel
 	fuser fusion.OutcomeFuser
 	feats []Feature
-	buf   *Buffer
+	buf   Buffer
 	// tally is the incremental fusion state (nil = reference path).
 	tally fusion.Tally
 	// row is the scratch slice taQIM input rows are assembled into.
@@ -90,33 +91,53 @@ type Wrapper struct {
 // timeseries-aware quality impact model (see FitTimeseriesQIM). The feature
 // subset must match the one used to fit the taQIM.
 func NewWrapper(base *uw.Wrapper, taqim *uw.QualityImpactModel, cfg Config) (*Wrapper, error) {
+	cfg, err := resolveConfig(base, taqim, cfg)
+	if err != nil {
+		return nil, err
+	}
+	cfg.Features = append([]Feature(nil), cfg.Features...)
+	w := &Wrapper{}
+	w.init(base, taqim, cfg)
+	return w, nil
+}
+
+// resolveConfig validates a wrapper's parts and fills in the configuration's
+// defaults.
+func resolveConfig(base *uw.Wrapper, taqim *uw.QualityImpactModel, cfg Config) (Config, error) {
 	if base == nil {
-		return nil, errors.New("core: base wrapper is required")
+		return cfg, errors.New("core: base wrapper is required")
 	}
 	if taqim == nil {
-		return nil, errors.New("core: timeseries-aware quality impact model is required")
+		return cfg, errors.New("core: timeseries-aware quality impact model is required")
 	}
 	cfg = cfg.withDefaults()
 	for _, f := range cfg.Features {
 		if f < Ratio || f > Certainty {
-			return nil, fmt.Errorf("core: unknown feature %d", int(f))
+			return cfg, fmt.Errorf("core: unknown feature %d", int(f))
 		}
 	}
-	buf, err := NewBuffer(cfg.BufferLimit)
-	if err != nil {
-		return nil, err
+	if cfg.BufferLimit < 0 {
+		return cfg, fmt.Errorf("core: buffer limit %d must be >= 0", cfg.BufferLimit)
 	}
-	w := &Wrapper{
+	return cfg, nil
+}
+
+// init sets up an empty wrapper from a resolved configuration, allocating
+// all of its storage at once: the buffer's records and statistics, the
+// tally and the taQIM row. cfg.Features is kept, not copied; a pool passes
+// every series its one resolved feature list.
+func (w *Wrapper) init(base *uw.Wrapper, taqim *uw.QualityImpactModel, cfg Config) {
+	*w = Wrapper{
 		base:  base,
 		taqim: taqim,
 		fuser: cfg.Fuser,
-		feats: append([]Feature(nil), cfg.Features...),
-		buf:   buf,
+		feats: cfg.Features,
+		row:   make([]float64, 0, taqim.NumFeatures()),
 	}
+	w.buf.init(cfg.BufferLimit)
 	if inc, ok := cfg.Fuser.(fusion.Incremental); ok {
 		w.tally = inc.NewTally() // nil when the configuration has no incremental form
 	}
-	return w, nil
 }
 
 // NewSeries clears the timeseries buffer; call it when the tracking

@@ -36,48 +36,74 @@ func (m MajorityVote) NewTally() Tally {
 	if m.TieBreak == LowestUncertainty {
 		return nil
 	}
-	return &majorityTally{votes: make(map[int]voteStat, 8)}
+	return &majorityTally{votes: make([]voteStat, 0, initialVotes)}
 }
+
+// initialVotes is the number of outcome classes a fresh majority tally holds
+// before its vote slice grows: one sign encounter shows a handful.
+const initialVotes = 4
 
 // majorityTally maintains per-outcome vote counts plus the logical time of
 // each outcome's most recent occurrence. The fused outcome is the count
 // argmax; ties go to the larger last-seen time, which is exactly the paper's
 // most-recent tie-break. Eviction always removes the oldest pushed pair, so
 // an outcome's last-seen time only dies when its count reaches zero.
+//
+// votes holds one entry per outcome class in the window, in no particular
+// order: entries are found by linear scan and swap-removed when their count
+// reaches zero. Fused already visits every class, so a push or an eviction
+// costs no more than the vote it feeds, O(distinct outcomes in the window),
+// and no hash map is needed for the handful of classes one encounter shows.
 type majorityTally struct {
-	votes map[int]voteStat
+	votes []voteStat
 	clock uint64
 }
 
 // voteStat is one outcome class' running vote state.
 type voteStat struct {
-	count int
-	last  uint64
+	outcome int
+	count   int
+	last    uint64
+}
+
+// vote returns the index of the outcome's entry in votes, or -1.
+func (t *majorityTally) vote(outcome int) int {
+	for i := range t.votes {
+		if t.votes[i].outcome == outcome {
+			return i
+		}
+	}
+	return -1
 }
 
 func (t *majorityTally) Push(outcome int, _ float64) {
 	t.clock++
-	s := t.votes[outcome]
+	i := t.vote(outcome)
+	if i < 0 {
+		i = len(t.votes)
+		t.votes = append(t.votes, voteStat{outcome: outcome})
+	}
+	s := &t.votes[i]
 	s.count++
 	s.last = t.clock
-	t.votes[outcome] = s
 }
 
 func (t *majorityTally) Evict(outcome int, _ float64) {
-	s, ok := t.votes[outcome]
-	if !ok {
+	i := t.vote(outcome)
+	if i < 0 {
 		return
 	}
-	if s.count <= 1 {
-		delete(t.votes, outcome)
+	if t.votes[i].count <= 1 {
+		last := len(t.votes) - 1
+		t.votes[i] = t.votes[last]
+		t.votes = t.votes[:last]
 		return
 	}
-	s.count--
-	t.votes[outcome] = s
+	t.votes[i].count--
 }
 
 func (t *majorityTally) Reset() {
-	clear(t.votes)
+	t.votes = t.votes[:0]
 	t.clock = 0
 }
 
@@ -85,14 +111,13 @@ func (t *majorityTally) Fused() (int, error) {
 	if len(t.votes) == 0 {
 		return 0, ErrNoOutcomes
 	}
-	best := 0
-	var bestStat voteStat
-	for o, s := range t.votes {
-		if s.count > bestStat.count || (s.count == bestStat.count && s.last > bestStat.last) {
-			best, bestStat = o, s
+	best := t.votes[0]
+	for _, s := range t.votes[1:] {
+		if s.count > best.count || (s.count == best.count && s.last > best.last) {
+			best = s
 		}
 	}
-	return best, nil
+	return best.outcome, nil
 }
 
 // NewTally implements Incremental for the no-fusion baseline: the fused

@@ -23,7 +23,7 @@ type TallyVote struct {
 
 // TallyState is the portable state of an incremental tally. Votes are
 // sorted by outcome so two exports of the same tally are identical
-// regardless of map iteration order.
+// whatever order the tally holds its classes in.
 type TallyState struct {
 	// Clock is the tally's logical time (pushes since reset).
 	Clock uint64
@@ -51,23 +51,32 @@ type StatefulTally interface {
 func (t *majorityTally) ExportState(st *TallyState) {
 	st.Clock = t.clock
 	st.Votes = st.Votes[:0]
-	for o, s := range t.votes {
-		st.Votes = append(st.Votes, TallyVote{Outcome: o, Count: s.count, Last: s.last})
+	for _, s := range t.votes {
+		st.Votes = append(st.Votes, TallyVote{Outcome: s.outcome, Count: s.count, Last: s.last})
 	}
 	sortVotes(st.Votes)
 }
 
-// RestoreState implements StatefulTally.
+// RestoreState implements StatefulTally. The entries must be in strictly
+// ascending outcome order, as ExportState writes them: one pass then proves
+// every count positive and every outcome distinct, however many entries a
+// decoded record carries.
 func (t *majorityTally) RestoreState(st *TallyState) error {
-	clear(t.votes)
-	for _, v := range st.Votes {
+	for i, v := range st.Votes {
 		if v.Count <= 0 {
 			return fmt.Errorf("fusion: vote count %d for outcome %d must be positive", v.Count, v.Outcome)
 		}
-		if _, dup := t.votes[v.Outcome]; dup {
-			return fmt.Errorf("fusion: duplicate vote entry for outcome %d", v.Outcome)
+		if i > 0 {
+			if prev := st.Votes[i-1].Outcome; v.Outcome == prev {
+				return fmt.Errorf("fusion: duplicate vote entry for outcome %d", v.Outcome)
+			} else if v.Outcome < prev {
+				return fmt.Errorf("fusion: vote entry for outcome %d follows outcome %d, want ascending outcomes", v.Outcome, prev)
+			}
 		}
-		t.votes[v.Outcome] = voteStat{count: v.Count, last: v.Last}
+	}
+	t.votes = t.votes[:0]
+	for _, v := range st.Votes {
+		t.votes = append(t.votes, voteStat{outcome: v.Outcome, count: v.Count, last: v.Last})
 	}
 	t.clock = st.Clock
 	return nil
@@ -99,9 +108,9 @@ func (t *latestTally) RestoreState(st *TallyState) error {
 	return nil
 }
 
-// sortVotes orders entries by outcome (insertion sort: the vote map holds
-// the distinct outcomes of one window, a handful of classes in practice,
-// and avoiding sort.Slice keeps the export allocation-free).
+// sortVotes orders entries by outcome (insertion sort: the tally holds the
+// distinct outcomes of one window, a handful of classes in practice, and
+// avoiding sort.Slice keeps the export allocation-free).
 func sortVotes(votes []TallyVote) {
 	for i := 1; i < len(votes); i++ {
 		v := votes[i]
