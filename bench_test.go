@@ -16,6 +16,7 @@ import (
 	"github.com/iese-repro/tauw/internal/gtsrb"
 	"github.com/iese-repro/tauw/internal/monitor"
 	"github.com/iese-repro/tauw/internal/stats"
+	"github.com/iese-repro/tauw/internal/trace"
 	"github.com/iese-repro/tauw/internal/uw"
 )
 
@@ -542,8 +543,11 @@ func BenchmarkPoolOpenCloseParallel(b *testing.B) {
 // slice through StepBatchInto — the steady-state serving loop, which must
 // stay at ≤2 allocs per op (the bench gate enforces it); the "fresh"
 // variants allocate results per batch, the price a caller pays for not
-// recycling. Rings are prefilled before the timer so the numbers measure
-// steady state, not warm-up growth.
+// recycling. The "traced" variants are "reuse" on a pool built WithTrace,
+// as tauserve builds it: they price the batch's envelope, step_run and
+// failed-step events and must stay at ≤2 allocs per op too. Rings are
+// prefilled before the timer so the numbers measure steady state, not
+// warm-up growth.
 func BenchmarkPoolStepBatch(b *testing.B) {
 	st := study(b)
 	series := st.TestSeries[0]
@@ -552,9 +556,9 @@ func BenchmarkPoolStepBatch(b *testing.B) {
 	for id := range items {
 		items[id] = core.StepItem{TrackID: id, Outcome: outcome, Quality: quality}
 	}
-	warmPool := func(b *testing.B) *core.WrapperPool {
+	warmPool := func(b *testing.B, opts ...core.PoolOption) *core.WrapperPool {
 		b.Helper()
-		pool, err := core.NewWrapperPool(st.Base, st.TAQIM, benchPoolCfg, 0)
+		pool, err := core.NewWrapperPool(st.Base, st.TAQIM, benchPoolCfg, 0, opts...)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -576,21 +580,26 @@ func BenchmarkPoolStepBatch(b *testing.B) {
 		}
 		return pool
 	}
-	for _, workers := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("reuse/workers=%d", workers), func(b *testing.B) {
-			pool := warmPool(b)
-			dst := make([]core.BatchResult, benchPoolTracks)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				dst = pool.StepBatchInto(items, workers, dst)
-				for j := range dst {
-					if dst[j].Err != nil {
-						b.Fatal(dst[j].Err)
-					}
+	reuse := func(b *testing.B, pool *core.WrapperPool, workers int) {
+		dst := make([]core.BatchResult, benchPoolTracks)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			dst = pool.StepBatchInto(items, workers, dst)
+			for j := range dst {
+				if dst[j].Err != nil {
+					b.Fatal(dst[j].Err)
 				}
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchPoolTracks), "ns/item")
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchPoolTracks), "ns/item")
+	}
+	for _, workers := range []int{1, 4, 16} {
+		b.Run(fmt.Sprintf("reuse/workers=%d", workers), func(b *testing.B) {
+			reuse(b, warmPool(b), workers)
+		})
+		b.Run(fmt.Sprintf("traced/workers=%d", workers), func(b *testing.B) {
+			reuse(b, warmPool(b, core.WithTrace(trace.New(trace.Config{}))), workers)
 		})
 		b.Run(fmt.Sprintf("fresh/workers=%d", workers), func(b *testing.B) {
 			pool := warmPool(b)

@@ -88,7 +88,7 @@ func (s *Server) stepOne(x *exchange, st *wireStep, resp *stepResponse) (int, st
 	}
 	res, err := s.pool.StepSeries(st.seriesID, st.outcome, st.qf)
 	if err == nil {
-		err = s.gateResult(st.seriesID, res, resp)
+		err = s.gateResult(st.seriesID, &res, resp)
 	}
 	x.stepped = time.Since(x.start)
 	if err != nil {
@@ -139,7 +139,7 @@ func (s *Server) stepBatch(ctx context.Context, x *exchange, sc *serveScratch) (
 	for j, i := range sc.back {
 		id, err := sc.steps[i].seriesID, sc.results[j].Err
 		if err == nil {
-			if err = s.gateResult(id, sc.results[j].Result, &sc.stepBodies[i]); err == nil {
+			if err = s.gateResult(id, &sc.results[j].Result, &sc.stepBodies[i]); err == nil {
 				res[i] = batchItemResponse{Status: http.StatusOK, Step: &sc.stepBodies[i]}
 				ok++
 				continue
@@ -155,7 +155,7 @@ func (s *Server) stepBatch(ctx context.Context, x *exchange, sc *serveScratch) (
 
 // gateResult runs one pool result through the simplex monitor into the
 // response body every step exchange shares.
-func (s *Server) gateResult(seriesID string, res core.Result, out *stepResponse) error {
+func (s *Server) gateResult(seriesID string, res *core.Result, out *stepResponse) error {
 	decision, err := s.gate.Gate(res.Fused, res.Uncertainty)
 	if err != nil {
 		return err
@@ -170,6 +170,7 @@ func (s *Server) gateResult(seriesID string, res core.Result, out *stepResponse)
 		ModelVersion:   res.ModelVersion,
 		Countermeasure: decision.Level.Name,
 		Accepted:       decision.Accepted,
+		level:          uint8(decision.Index),
 	}
 	return nil
 }

@@ -480,6 +480,9 @@ type stepResponse struct {
 	ModelVersion   uint64 `json:"model_version"`
 	Countermeasure string `json:"countermeasure"`
 	Accepted       bool   `json:"accepted"`
+	// level is the countermeasure's index in the wire hello table (the
+	// gate's Decision.Index), how a wire step result names it in one byte.
+	level uint8
 }
 
 // enterHTTP starts a hot JSON exchange on ep: admission, then the body

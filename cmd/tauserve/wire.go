@@ -33,8 +33,8 @@ import (
 const wireFlushThreshold = 64 << 10
 
 // wireServer is the binary listener's state: the tracked connections for
-// drain, and the per-connection-constant hello payload and countermeasure
-// index derived from the gate policy.
+// drain, and the per-connection-constant hello payload derived from the
+// gate policy.
 type wireServer struct {
 	srv *Server
 	ln  net.Listener
@@ -44,11 +44,10 @@ type wireServer struct {
 	draining bool
 	wg       sync.WaitGroup
 
-	// hello is the precomputed hello response payload; levelIdx maps a
-	// countermeasure name to its index in that table (how step responses
-	// name the selected level in one byte).
-	hello    []byte
-	levelIdx map[string]uint8
+	// hello is the precomputed hello response payload. Its level table is
+	// the gate's escalation order, so a step response names the selected
+	// level in one byte by the gate's Decision.Index.
+	hello []byte
 }
 
 func newWireServer(s *Server, ln net.Listener) (*wireServer, error) {
@@ -62,16 +61,11 @@ func newWireServer(s *Server, ln net.Listener) (*wireServer, error) {
 	if err != nil {
 		return nil, err
 	}
-	idx := make(map[string]uint8, len(levels))
-	for i, name := range levels {
-		idx[name] = uint8(i)
-	}
 	return &wireServer{
-		srv:      s,
-		ln:       ln,
-		conns:    make(map[net.Conn]struct{}),
-		hello:    hello,
-		levelIdx: idx,
+		srv:   s,
+		ln:    ln,
+		conns: make(map[net.Conn]struct{}),
+		hello: hello,
 	}, nil
 }
 
@@ -329,7 +323,7 @@ func (ws *wireServer) stepBatch(p, out []byte, sc *serveScratch) ([]byte, int, s
 }
 
 // appendStepResult renders the shared stepResponse shape as a wire step
-// result, resolving the countermeasure to its hello-table index.
+// result, naming the countermeasure by its hello-table index.
 func (ws *wireServer) appendStepResult(dst []byte, r *stepResponse) []byte {
 	res := wire.StepResult{
 		Fused:        r.FusedOutcome,
@@ -340,7 +334,7 @@ func (ws *wireServer) appendStepResult(dst []byte, r *stepResponse) []byte {
 		ModelVersion: r.ModelVersion,
 		Accepted:     r.Accepted,
 	}
-	return wire.AppendStepResultPayload(dst, &res, ws.levelIdx[r.Countermeasure])
+	return wire.AppendStepResultPayload(dst, &res, r.level)
 }
 
 // feedback is the wire shell of the ground-truth core.

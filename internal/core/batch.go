@@ -46,22 +46,27 @@ type batchScratch struct {
 	order  []int32
 	groups []int32
 
-	// Series resolution scratch (StepBatchSeries only).
-	tracks  []StepItem
-	back    []int32
-	results []BatchResult
+	// Series resolution scratch (StepBatchSeries only): the parsed items
+	// and, for each, the index of its result slot in the caller's out.
+	tracks []StepItem
+	back   []int32
 
 	// Worker state, set per dispatch and cleared before release so the
-	// pool never pins a caller's items or results. done is ctx.Done(),
+	// pool never pins a caller's items or results. slots maps item i to
+	// its result slot out[slots[i]] (nil: out[i]). done is ctx.Done(),
 	// captured once at dispatch: nil for context.Background(), so the
 	// deadline-free path pays nothing for cancellation support.
 	pool  *WrapperPool
 	items []StepItem
+	slots []int32
 	out   []BatchResult
 	ctx   context.Context
 	done  <-chan struct{}
 	next  atomic.Int32
 	wg    sync.WaitGroup
+	// spawned numbers the spawned workers 1, 2, ... for their step_run
+	// events; the dispatching goroutine is worker 0.
+	spawned atomic.Int32
 
 	// runFn is the bound method value of run, created once per scratch:
 	// `go s.run()` would allocate a fresh closure per spawned worker,
@@ -133,7 +138,7 @@ func (p *WrapperPool) StepBatchInto(items []StepItem, workers int, dst []BatchRe
 }
 
 // traceBatch records the batch envelope event at dispatch exit (deferred
-// from StepBatchIntoCtx so every return path is covered).
+// from the batch entry points so every return path is covered).
 func (p *WrapperPool) traceBatch(start int64, n int) {
 	p.trace.RecordSince(start, trace.KindBatch, trace.StatusOK, 0, 0, uint64(n))
 }
@@ -143,26 +148,6 @@ func (p *WrapperPool) traceBatch(start int64, n int) {
 // canceled batch stops within ~20 µs of the deadline at ~300 ns/step.
 const cancelStride = 64
 
-// stepSpan is the serial stepping loop with cancellation: once done is
-// closed, every remaining item fails with the context's error instead of
-// stepping. A nil done (context.Background()) reduces it to the plain loop.
-func stepSpan(ctx context.Context, done <-chan struct{}, p *WrapperPool, items []StepItem, out []BatchResult) {
-	for i := range items {
-		if done != nil && i&(cancelStride-1) == 0 {
-			select {
-			case <-done:
-				err := ctx.Err()
-				for j := i; j < len(items); j++ {
-					out[j].Result, out[j].Err = Result{}, err
-				}
-				return
-			default:
-			}
-		}
-		out[i].Result, out[i].Err = p.Step(items[i].TrackID, items[i].Outcome, items[i].Quality)
-	}
-}
-
 // StepBatchIntoCtx is StepBatchInto honouring ctx: items not yet stepped
 // when ctx is canceled fail with ctx.Err() instead of blocking the batch on
 // work whose caller has already given up. Cancellation is polled every
@@ -170,41 +155,66 @@ func stepSpan(ctx context.Context, done <-chan struct{}, p *WrapperPool, items [
 // microseconds of stepping; items already stepped keep their results (a
 // step that happened is not undone by a deadline).
 //
+// On a traced pool a batch records one KindBatch envelope, one
+// KindStepRun event per worker run over a shard group when it fans out,
+// and a KindStep event for each item whose step fails; a successful item
+// records no event of its own.
+//
 //tauw:hotpath
 func (p *WrapperPool) StepBatchIntoCtx(ctx context.Context, items []StepItem, workers int, dst []BatchResult) []BatchResult {
 	out := xslice.Grow(dst, len(items))
 	if len(items) == 0 {
 		return out
 	}
-	// The fan-out envelope event: per-item detail is recorded by each
-	// Step; this one attributes the dispatch itself (grouping, handoff,
+	// The envelope event attributes the whole dispatch (grouping, handoff,
 	// stragglers) with the item count as its argument.
 	if p.trace != nil {
 		//tauwcheck:ignore hotpath one defer per batch envelope, amortised across the items
 		defer p.traceBatch(p.trace.Now(), len(items))
 	}
+	p.stepBatch(ctx, nil, items, nil, workers, out)
+	return out
+}
+
+// stepBatch steps items straight into their result slots: item i into
+// out[slots[i]], or into out[i] when slots is nil. s is the caller's
+// scratch, or nil when it has none; the serial path then takes none from
+// scratchPool.
+//
+//tauw:hotpath
+func (p *WrapperPool) stepBatch(ctx context.Context, s *batchScratch, items []StepItem, slots []int32, workers int, out []BatchResult) {
 	done := ctx.Done()
 	workers = maxUsefulWorkers(len(items), workers)
 	if workers <= 1 || len(items) == 1 {
-		stepSpan(ctx, done, p, items, out)
-		return out
+		p.stepRun(ctx, done, items, nil, slots, out)
+		return
 	}
-
-	s := scratchPool.Get().(*batchScratch)
+	own := s == nil
+	if own {
+		s = scratchPool.Get().(*batchScratch)
+	}
 	s.group(p, items)
 	if len(s.groups) == 1 {
 		// One shard owns every item: the fan-out would degenerate to a
 		// single worker, so run the plain loop without goroutine handoff.
-		stepSpan(ctx, done, p, items, out)
-		s.release()
-		return out
+		p.stepRun(ctx, done, items, nil, slots, out)
+	} else {
+		s.fanOut(ctx, done, p, items, slots, workers, out)
 	}
+	if own {
+		s.release()
+	}
+}
+
+// fanOut steps the grouped items with min(workers, groups) workers.
+func (s *batchScratch) fanOut(ctx context.Context, done <-chan struct{}, p *WrapperPool, items []StepItem, slots []int32, workers int, out []BatchResult) {
 	if workers > len(s.groups) {
 		workers = len(s.groups)
 	}
-	s.pool, s.items, s.out = p, items, out
+	s.pool, s.items, s.slots, s.out = p, items, slots, out
 	s.ctx, s.done = ctx, done
 	s.next.Store(0)
+	s.spawned.Store(0)
 	if s.runFn == nil {
 		s.runFn = s.run
 	}
@@ -216,10 +226,8 @@ func (p *WrapperPool) StepBatchIntoCtx(ctx context.Context, items []StepItem, wo
 	for w := 1; w < workers; w++ {
 		go s.runFn()
 	}
-	s.work()
+	s.work(0)
 	s.wg.Wait()
-	s.release()
-	return out
 }
 
 // group builds the shard partition of items with a counting sort: counts[s]
@@ -270,59 +278,106 @@ func (s *batchScratch) runBounds(sh int32) (int32, int32) {
 // work directly and is not registered in the WaitGroup.
 func (s *batchScratch) run() {
 	defer s.wg.Done()
-	s.work()
+	s.work(int(s.spawned.Add(1)))
 }
 
-// work is the worker loop: claim the next shard group, step its items in
-// input order, repeat until the groups are drained. After cancellation the
-// claim loop keeps running so every group is still visited — its items are
-// filled with the context error by stepRun rather than left zero.
-func (s *batchScratch) work() {
+// work is the loop of worker number worker: claim the next shard group,
+// step its items in input order, repeat until the groups are drained. On
+// a traced pool each run over a group records one KindStepRun event. After
+// cancellation the claim loop keeps running so every group is still
+// visited — its items are filled with the context error by stepRun rather
+// than left zero.
+//
+//tauw:hotpath
+func (s *batchScratch) work(worker int) {
+	p := s.pool
 	for {
 		g := int(s.next.Add(1)) - 1
 		if g >= len(s.groups) {
 			return
 		}
-		start, end := s.runBounds(s.groups[g])
-		s.stepRun(s.order[start:end])
+		sh := s.groups[g]
+		start, end := s.runBounds(sh)
+		run := s.order[start:end]
+		if p.trace == nil {
+			p.stepRun(s.ctx, s.done, s.items, run, s.slots, s.out)
+			continue
+		}
+		t0 := p.trace.Now()
+		status := trace.StatusOK
+		if !p.stepRun(s.ctx, s.done, s.items, run, s.slots, s.out) {
+			status = trace.StatusError
+		}
+		p.trace.RecordSince(t0, trace.KindStepRun, status, uint16(sh), uint64(worker), uint64(len(run)))
 	}
 }
 
-// stepRun steps one shard group's items in input order, honouring
-// cancellation every cancelStride items (see stepSpan; this is its
-// order-indirected twin for the fan-out path).
-func (s *batchScratch) stepRun(run []int32) {
-	for k, i := range run {
-		if s.done != nil && k&(cancelStride-1) == 0 {
+// stepRun steps items[run[0]], items[run[1]], ... in that order, or every
+// item in input order when run is nil, each straight into its result slot
+// (see stepBatch). It polls cancellation every cancelStride items: once
+// done is closed, every remaining item fails with the context's error
+// instead of stepping, and records no event. A nil done
+// (context.Background()) reduces it to the plain loop. It reports whether
+// every item succeeded.
+//
+//tauw:hotpath
+func (p *WrapperPool) stepRun(ctx context.Context, done <-chan struct{}, items []StepItem, run, slots []int32, out []BatchResult) bool {
+	n := len(items)
+	if run != nil {
+		n = len(run)
+	}
+	ok := true
+	for k := 0; k < n; k++ {
+		if done != nil && k&(cancelStride-1) == 0 {
 			select {
-			case <-s.done:
-				err := s.ctx.Err()
-				for _, j := range run[k:] {
-					s.out[j].Result, s.out[j].Err = Result{}, err
+			case <-done:
+				err := ctx.Err()
+				for ; k < n; k++ {
+					_, slot := batchItem(k, run, slots)
+					out[slot].Result, out[slot].Err = Result{}, err
 				}
-				return
+				return false
 			default:
 			}
 		}
-		it := &s.items[i]
-		s.out[i].Result, s.out[i].Err = s.pool.Step(it.TrackID, it.Outcome, it.Quality)
+		i, slot := batchItem(k, run, slots)
+		it, r := &items[i], &out[slot]
+		version, err := p.stepInto(it.TrackID, it.Outcome, it.Quality, &r.Result)
+		r.Err = err
+		if err != nil {
+			ok = false
+			if p.trace != nil {
+				p.trace.Record(trace.KindStep, stepStatus(err), uint16(p.shardIndex(it.TrackID)), uint64(it.TrackID), version)
+			}
+		}
 	}
+	return ok
+}
+
+// batchItem returns the input index and the result slot of the k-th item
+// stepRun visits.
+func batchItem(k int, run, slots []int32) (i, slot int) {
+	i = k
+	if run != nil {
+		i = int(run[k])
+	}
+	slot = i
+	if slots != nil {
+		slot = int(slots[i])
+	}
+	return i, slot
 }
 
 // release clears the caller-owned references and returns the scratch to the
 // pool; the int32 arrays keep their capacity for the next batch.
 func (s *batchScratch) release() {
-	s.pool, s.items, s.out = nil, nil, nil
+	s.pool, s.items, s.slots, s.out = nil, nil, nil, nil
 	s.ctx, s.done = nil, nil
 	for i := range s.tracks {
 		s.tracks[i] = StepItem{}
 	}
 	s.tracks = s.tracks[:0]
 	s.back = s.back[:0]
-	for i := range s.results {
-		s.results[i] = BatchResult{}
-	}
-	s.results = s.results[:0]
 	scratchPool.Put(s)
 }
 
@@ -347,11 +402,18 @@ func (p *WrapperPool) StepBatchSeriesInto(items []SeriesStepItem, workers int, d
 // the stepping pass sheds once ctx is canceled, so malformed ids keep their
 // specific error while unstepped items report ctx.Err(). An id that parses
 // but whose track is not open fails in the stepping pass, like a track
-// batch's unknown track.
+// batch's unknown track. Each parsed item is stepped straight into its
+// slot of the result, and the batch is traced like a track batch.
+//
+//tauw:hotpath
 func (p *WrapperPool) StepBatchSeriesIntoCtx(ctx context.Context, items []SeriesStepItem, workers int, dst []BatchResult) []BatchResult {
 	out := xslice.Grow(dst, len(items))
 	if len(items) == 0 {
 		return out
+	}
+	if p.trace != nil {
+		//tauwcheck:ignore hotpath one defer per batch envelope, amortised across the items
+		defer p.traceBatch(p.trace.Now(), len(items))
 	}
 	s := scratchPool.Get().(*batchScratch)
 	s.tracks = s.tracks[:0]
@@ -365,9 +427,8 @@ func (p *WrapperPool) StepBatchSeriesIntoCtx(ctx context.Context, items []Series
 		s.tracks = append(s.tracks, StepItem{TrackID: track, Outcome: it.Outcome, Quality: it.Quality})
 		s.back = append(s.back, int32(i))
 	}
-	s.results = p.StepBatchIntoCtx(ctx, s.tracks, workers, xslice.Grow(s.results, len(s.tracks)))
-	for j, r := range s.results {
-		out[s.back[j]] = r
+	if len(s.tracks) > 0 {
+		p.stepBatch(ctx, s, s.tracks, s.back, workers, out)
 	}
 	s.release()
 	return out

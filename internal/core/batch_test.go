@@ -4,6 +4,8 @@ import (
 	"errors"
 	"sync"
 	"testing"
+
+	"github.com/iese-repro/tauw/internal/trace"
 )
 
 // batchFixture opens `tracks` tracks on a fresh pool and returns a quality
@@ -441,5 +443,115 @@ func TestStepBatchIntoSteadyStateAllocs(t *testing.T) {
 		if avg > budget {
 			t.Errorf("workers=%d: %.1f allocs per steady-state batch, want <= %.0f", workers, avg, budget)
 		}
+	}
+}
+
+// TestStepBatchTraceContract pins what a traced series batch records. Every
+// batch records one KindBatch envelope with its item count. A batch that
+// fans out records one KindStepRun event per shard group, naming the shard
+// and a worker, and the groups' item counts sum to the items that reached
+// the pool. An item whose step fails records its own not-found KindStep
+// event; a successful item records none, and neither does an id that does
+// not parse. The second batch is small enough for the serial path, which
+// records no step_run event.
+func TestStepBatchTraceContract(t *testing.T) {
+	forceBatchParallelism(t, 2)
+	st := buildStudy(t)
+	rec := trace.New(trace.Config{})
+	pool, err := NewWrapperPool(st.base, fitTAQIM(t, st, nil), Config{}, 0, WithTrace(rec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]string, 48)
+	for i := range ids {
+		if ids[i], err = pool.OpenSeries(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	closed, err := pool.OpenSeries()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pool.CloseSeries(closed); err != nil {
+		t.Fatal(err)
+	}
+	// "s999999" parses but names no open track; "s01" does not parse.
+	failing := map[string]bool{closed: true, "s999999": true}
+	s := st.testSeries[0]
+	item := func(i int, id string) SeriesStepItem {
+		j := i % len(s.Outcomes)
+		return SeriesStepItem{SeriesID: id, Outcome: s.Outcomes[j], Quality: s.Quality[j]}
+	}
+	var fan []SeriesStepItem
+	for i := 0; i < 300; i++ {
+		fan = append(fan, item(i, ids[i%len(ids)]))
+	}
+	fan[17], fan[123], fan[200] = item(17, "s999999"), item(123, closed), item(200, "s01")
+	serial := []SeriesStepItem{item(0, ids[0]), item(1, closed), item(2, ids[1])}
+	if w := maxUsefulWorkers(len(fan)-1, 0); w != 2 {
+		t.Fatalf("maxUsefulWorkers(%d, 0) = %d, want 2", len(fan)-1, w)
+	}
+
+	groups := map[uint16]int{}
+	for _, it := range fan {
+		if track, ok := parseSeries(it.SeriesID); ok {
+			groups[uint16(pool.shardIndex(track))]++
+		}
+	}
+	if len(groups) < 2 {
+		t.Fatalf("fan-out batch spans %d shard groups, want at least 2", len(groups))
+	}
+	for _, batch := range [][]SeriesStepItem{fan, serial} {
+		for i, r := range pool.StepBatchSeriesInto(batch, 0, nil) {
+			id := batch[i].SeriesID
+			if failing[id] || id == "s01" {
+				if !errors.Is(r.Err, ErrUnknownSeries) || r.Result != (Result{}) {
+					t.Errorf("item %d (%s) = %+v, %v; want Result{} and ErrUnknownSeries", i, id, r.Result, r.Err)
+				}
+			} else if r.Err != nil {
+				t.Errorf("item %d (%s): %v", i, id, r.Err)
+			}
+		}
+	}
+
+	var batches []uint64
+	notFound := map[uint64]int{}
+	runItems := 0
+	for _, ev := range rec.Snapshot(nil) {
+		switch ev.Kind {
+		case trace.KindBatch:
+			batches = append(batches, ev.Arg)
+		case trace.KindStepRun:
+			want, ok := groups[ev.Shard]
+			if !ok || ev.Arg != uint64(want) {
+				t.Errorf("step_run on shard %d holds %d items, want %d", ev.Shard, ev.Arg, want)
+			}
+			delete(groups, ev.Shard)
+			if ev.Series > 1 {
+				t.Errorf("step_run names worker %d of 2", ev.Series)
+			}
+			runItems += int(ev.Arg)
+		case trace.KindStep:
+			if ev.Status != trace.StatusNotFound {
+				t.Errorf("step event with status %s on track %d: only failed items may record one",
+					ev.Status.Name(), int(ev.Series))
+				continue
+			}
+			notFound[ev.Series]++
+		}
+	}
+	if len(batches) != 2 || batches[0] != uint64(len(fan)) || batches[1] != uint64(len(serial)) {
+		t.Errorf("batch envelopes carry item counts %v, want [%d %d]", batches, len(fan), len(serial))
+	}
+	if len(groups) != 0 {
+		t.Errorf("shard groups %v recorded no step_run event", groups)
+	}
+	if want := len(fan) - 1; runItems != want {
+		t.Errorf("step_run events cover %d items, want the %d parsed items", runItems, want)
+	}
+	closedTrack, _ := parseSeries(closed)
+	unknownTrack, _ := parseSeries("s999999")
+	if len(notFound) != 2 || notFound[uint64(closedTrack)] != 2 || notFound[uint64(unknownTrack)] != 1 {
+		t.Errorf("not-found step events by track %v, want 2 on the closed series and 1 on s999999", notFound)
 	}
 }

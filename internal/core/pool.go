@@ -109,11 +109,12 @@ type poolOptions struct {
 	trace     *trace.Recorder
 }
 
-// WithTrace wires the pool's event sites — step enter/exit, batch fan-out,
-// feedback join, model swap — into the flight recorder. Recording one
-// event costs two atomic operations and zero allocations (see
-// internal/trace), so the step path keeps its 0 allocs/op contract;
-// BenchmarkPoolStepTraced holds the line in CI.
+// WithTrace wires the pool's event sites — single steps, batch envelopes
+// and their per-shard-group runs, failed batch items, feedback joins, model
+// swaps — into the flight recorder. Recording one event costs two atomic
+// operations and zero allocations (see internal/trace), so the step path
+// keeps its 0 allocs/op contract; BenchmarkPoolStepTraced and the traced
+// rows of BenchmarkPoolStepBatch hold the line in CI.
 func WithTrace(rec *trace.Recorder) PoolOption {
 	return func(o *poolOptions) { o.trace = rec }
 }
@@ -249,53 +250,75 @@ func (p *WrapperPool) open(trackID int) error {
 	return nil
 }
 
-// Step feeds one timestep to the track's wrapper. The unlock is explicit
-// rather than deferred: Step is the pool's hottest function and the
-// wrapper's step is pure arithmetic over owned state, so there is no panic
-// path the defer would be protecting.
+// Step feeds one timestep to the track's wrapper and records its KindStep
+// event on a traced pool.
 //
 //tauw:hotpath
 func (p *WrapperPool) Step(trackID, outcome int, quality []float64) (Result, error) {
 	// Trace timing reads the clock only on traced pools; the event itself
-	// is recorded after the wrapper lock drops so the ring's spin word
-	// never nests inside pw.mu.
+	// is recorded after stepInto has dropped the wrapper lock, so the
+	// ring's spin word never nests inside pw.mu.
 	var traceStart int64
 	if p.trace != nil {
 		traceStart = p.trace.Now()
 	}
+	var res Result
+	version, err := p.stepInto(trackID, outcome, quality, &res)
+	if p.trace != nil {
+		p.trace.RecordSince(traceStart, trace.KindStep, stepStatus(err), uint16(p.shardIndex(trackID)), uint64(trackID), version)
+	}
+	return res, err
+}
+
+// stepInto feeds one timestep to the track's wrapper and writes its result
+// into *res, Result{} when the step fails. It returns the model version the
+// step loaded (0 when the track is not open) and records no trace event:
+// Step records one per step, a batch one per run (see batch.go). The
+// unlock is explicit rather than deferred: this is the pool's hottest
+// function and the wrapper's step is pure arithmetic over owned state, so
+// there is no panic path the defer would be protecting.
+//
+//tauw:hotpath
+func (p *WrapperPool) stepInto(trackID, outcome int, quality []float64, res *Result) (uint64, error) {
 	shard := p.shardIndex(trackID)
 	sh := &p.shards[shard]
 	sh.mu.Lock()
 	pw, ok := sh.tracks[trackID]
 	sh.mu.Unlock()
 	if !ok {
-		if p.trace != nil {
-			p.trace.RecordSince(traceStart, trace.KindStep, trace.StatusNotFound, uint16(shard), uint64(trackID), 0)
-		}
-		return Result{}, unknownTrack(trackID)
+		*res = Result{}
+		return 0, unknownTrack(trackID)
 	}
 	pw.mu.Lock()
 	// One atomic load pins this step's model revision: a concurrent
 	// SwapModel replaces the pointer for later steps but can never tear
 	// this one (the compiled tree behind pm.qim is immutable).
 	pm := p.model.Load()
-	res, err := pw.w.stepScopedModel(pm.qim, outcome, quality, nil)
+	err := pw.w.stepInto(pm.qim, outcome, quality, nil, res)
 	if err == nil {
 		res.ModelVersion = pm.version
 		pw.dirty = true
 		if p.monitored {
-			p.recordStep(pw, shard, &res)
+			p.recordStep(pw, shard, res)
 		}
 	}
 	pw.mu.Unlock()
-	if p.trace != nil {
-		status := trace.StatusOK
-		if err != nil {
-			status = trace.StatusError
-		}
-		p.trace.RecordSince(traceStart, trace.KindStep, status, uint16(shard), uint64(trackID), pm.version)
+	if err != nil {
+		*res = Result{}
 	}
-	return res, err
+	return pm.version, err
+}
+
+// stepStatus is the trace status of a step's error: not found for a track
+// that is not open, error for any other failure.
+func stepStatus(err error) trace.Status {
+	switch {
+	case err == nil:
+		return trace.StatusOK
+	case errors.Is(err, ErrUnknownTrack):
+		return trace.StatusNotFound
+	}
+	return trace.StatusError
 }
 
 // Close retires a track.

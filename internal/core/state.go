@@ -15,8 +15,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/iese-repro/tauw/internal/fusion"
 	"github.com/iese-repro/tauw/internal/uw"
@@ -300,8 +302,26 @@ func (p *WrapperPool) RestoreTrack(st *SeriesState) error {
 	b.start = 0
 	b.full = limit > 0 && len(b.records) == limit
 	b.total = st.Total
+	// The statistics must count the records: each outcome's count is the
+	// number of buffered records with that outcome, so the counts sum to
+	// the window length. One pass counts the records into the (sorted)
+	// entries, a second compares; the certainty sums are taken as they are,
+	// since their rounding carries the series' history.
 	for _, s := range st.Stats {
-		b.stats = append(b.stats, outcomeStat{outcome: s.Outcome, count: s.Count, certainty: s.Certainty})
+		b.stats = append(b.stats, outcomeStat{outcome: s.Outcome, certainty: s.Certainty})
+	}
+	for _, r := range st.Records {
+		i, ok := slices.BinarySearchFunc(st.Stats, r.Outcome, func(s OutcomeStat, o int) int { return cmp.Compare(s.Outcome, o) })
+		if !ok {
+			return fmt.Errorf("core: restore track %d: buffered outcome %d has no stats", st.Track, r.Outcome)
+		}
+		b.stats[i].count++
+	}
+	for i, s := range st.Stats {
+		if n := b.stats[i].count; n != s.Count {
+			return fmt.Errorf("core: restore track %d: outcome %d count %d, but the buffer holds %d",
+				st.Track, s.Outcome, s.Count, n)
+		}
 	}
 
 	// Tally: exact state when both sides speak StatefulTally; otherwise
@@ -311,6 +331,21 @@ func (p *WrapperPool) RestoreTrack(st *SeriesState) error {
 		if stl, ok := w.tally.(fusion.StatefulTally); ok {
 			if err := stl.RestoreState(&st.Tally); err != nil {
 				return fmt.Errorf("core: restore track %d: %w", st.Track, err)
+			}
+			// Both built-in stateful tallies count exactly the buffered
+			// window. Their counts are non-negative, so bounding each by
+			// what is left of the window keeps the sum from overflowing.
+			left := len(st.Records)
+			for _, v := range st.Tally.Votes {
+				if v.Count > left {
+					left = -1
+					break
+				}
+				left -= v.Count
+			}
+			if left != 0 {
+				return fmt.Errorf("core: restore track %d: tally votes do not sum to the %d buffered records",
+					st.Track, len(st.Records))
 			}
 		} else if w.tally != nil {
 			replayTally(w.tally, b)

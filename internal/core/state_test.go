@@ -78,6 +78,26 @@ func TestRestoreTrackRejects(t *testing.T) {
 			v := snap.Tally.Votes
 			v[0], v[1] = v[1], v[0]
 		}, "want ascending outcomes"},
+		{"outcome counts above the records", func(snap *SeriesState) {
+			for i := range snap.Stats {
+				snap.Stats[i].Count += 100
+			}
+		}, "but the buffer holds"},
+		{"stats for an outcome with no records", func(snap *SeriesState) {
+			last := snap.Stats[len(snap.Stats)-1]
+			snap.Stats = append(snap.Stats, OutcomeStat{Outcome: last.Outcome + 1, Count: 1, Certainty: 0.5})
+		}, "count 1, but the buffer holds 0"},
+		{"records of an outcome without stats", func(snap *SeriesState) {
+			snap.Stats = snap.Stats[1:]
+		}, "has no stats"},
+		{"tally votes above the records", func(snap *SeriesState) {
+			for i := range snap.Tally.Votes {
+				snap.Tally.Votes[i].Count += 100
+			}
+		}, "tally votes do not sum to the 8 buffered records"},
+		{"tally votes below the records", func(snap *SeriesState) {
+			snap.Tally.Votes = snap.Tally.Votes[1:]
+		}, "tally votes do not sum to the 8 buffered records"},
 		{"ring entry beyond the total", func(snap *SeriesState) {
 			snap.Ring[len(snap.Ring)-1].Step = uint64(snap.Total) + 1
 		}, "provenance step 11 > total steps 10"},

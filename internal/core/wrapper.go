@@ -171,19 +171,25 @@ func (w *Wrapper) Step(outcome int, quality []float64) (Result, error) {
 // behaviour of the full framework. With a nil scope model the scope factors
 // are ignored.
 func (w *Wrapper) StepScoped(outcome int, quality, scope []float64) (Result, error) {
-	return w.stepScopedModel(w.taqim, outcome, quality, scope)
+	var res Result
+	err := w.stepInto(w.taqim, outcome, quality, scope, &res)
+	return res, err
 }
 
-// stepScopedModel is StepScoped parameterised by the taQIM revision scoring
-// this step. The pool's hot-swap path loads the current model once per step
-// and passes it here, so every step sees exactly one model revision even
-// while a swap lands concurrently; standalone wrappers pass their own taqim.
-// The model must share the construction-time feature layout
+// stepInto is StepScoped parameterised by the taQIM revision scoring this
+// step, writing the step's result into *res, the slot its caller reads, so
+// a batch item's result is never copied on its way out; on error *res is
+// left as it was. The pool's hot-swap path loads the current model once per
+// step and passes it here, so every step sees exactly one model revision
+// even while a swap lands concurrently; standalone wrappers pass their own
+// taqim. The model must share the construction-time feature layout
 // (SwapModel guards this).
-func (w *Wrapper) stepScopedModel(taqim *uw.QualityImpactModel, outcome int, quality, scope []float64) (Result, error) {
+//
+//tauw:hotpath
+func (w *Wrapper) stepInto(taqim *uw.QualityImpactModel, outcome int, quality, scope []float64, res *Result) error {
 	est, err := w.base.Estimate(outcome, quality, scope)
 	if err != nil {
-		return Result{}, fmt.Errorf("core: base estimate: %w", err)
+		return fmt.Errorf("core: base estimate: %w", err)
 	}
 	evicted, wasEvicted := w.buf.Append(Record{Outcome: outcome, Uncertainty: est.Uncertainty, Quality: quality})
 	var fused int
@@ -198,11 +204,11 @@ func (w *Wrapper) stepScopedModel(taqim *uw.QualityImpactModel, outcome int, qua
 		w.tally.Push(outcome, est.Uncertainty)
 		fused, err = w.tally.Fused()
 		if err != nil {
-			return Result{}, fmt.Errorf("core: information fusion: %w", err)
+			return fmt.Errorf("core: information fusion: %w", err)
 		}
 		taqf, err = w.buf.FeaturesAt(fused)
 		if err != nil {
-			return Result{}, err
+			return err
 		}
 	} else {
 		// Reference path for fusers without an incremental form: replay the
@@ -215,18 +221,18 @@ func (w *Wrapper) stepScopedModel(taqim *uw.QualityImpactModel, outcome int, qua
 		us := w.buf.Uncertainties()
 		fused, err = w.fuser.Fuse(outcomes, us)
 		if err != nil {
-			return Result{}, fmt.Errorf("core: information fusion: %w", err)
+			return fmt.Errorf("core: information fusion: %w", err)
 		}
 		//tauwcheck:ignore hotpath reference replay branch, never taken by pooled wrappers
 		taqf, err = ComputeFeatures(outcomes, us, fused)
 		if err != nil {
-			return Result{}, err
+			return err
 		}
 	}
 	row := w.assembleRow(quality, taqf)
 	u, leaf, err := taqim.Predict(row)
 	if err != nil {
-		return Result{}, fmt.Errorf("core: timeseries-aware estimate: %w", err)
+		return fmt.Errorf("core: timeseries-aware estimate: %w", err)
 	}
 	// Scope-compliance uncertainty is independent of the timeseries
 	// evidence: combine it multiplicatively, as the base framework does.
@@ -236,15 +242,17 @@ func (w *Wrapper) stepScopedModel(taqim *uw.QualityImpactModel, outcome int, qua
 			u = 1
 		}
 	}
-	return Result{
-		Fused:       fused,
-		Uncertainty: u,
-		Stateless:   est,
-		TAQF:        taqf,
-		SeriesLen:   w.buf.Len(),
-		TotalSteps:  w.buf.TotalSteps(),
-		TAQIMLeaf:   leaf,
-	}, nil
+	// Field by field: a composite literal would be built in a temporary
+	// and then copied into *res.
+	res.Fused = fused
+	res.Uncertainty = u
+	res.Stateless = est
+	res.TAQF = taqf
+	res.SeriesLen = w.buf.Len()
+	res.TotalSteps = w.buf.TotalSteps()
+	res.TAQIMLeaf = leaf
+	res.ModelVersion = 0
+	return nil
 }
 
 // assembleRow concatenates the stateless quality factors with the selected

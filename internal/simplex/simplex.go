@@ -10,7 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
+	"sync/atomic"
 )
 
 // Countermeasure is one escalation level of the monitor.
@@ -73,6 +73,10 @@ type Decision struct {
 	Uncertainty float64
 	// Level is the selected countermeasure.
 	Level Countermeasure
+	// Index is the selected level's position in escalation order: its
+	// index in the sorted Policy().Levels, or len(Policy().Levels) for the
+	// terminal countermeasure.
+	Index int
 	// Accepted reports whether the first (least restrictive) level
 	// applied.
 	Accepted bool
@@ -86,12 +90,16 @@ type Stats struct {
 	PerLevel map[string]int
 }
 
-// Monitor gates outcomes against a policy. It is safe for concurrent use.
+// Monitor gates outcomes against a policy. It is safe for concurrent use:
+// a gate takes no lock, it adds one to its level's counter.
 type Monitor struct {
-	mu     sync.Mutex
 	policy Policy
-	counts map[string]int
-	total  int
+	// counts holds one activation counter per level in escalation order,
+	// the terminal last; the total is their sum.
+	counts []atomic.Int64
+	// first maps each level to the first level of the same name, so levels
+	// that share a name, which Validate allows, report one count.
+	first []int
 }
 
 // NewMonitor creates a monitor; the policy's levels are sorted by bound.
@@ -105,7 +113,28 @@ func NewMonitor(policy Policy) (*Monitor, error) {
 		return levels[a].MaxUncertainty < levels[b].MaxUncertainty
 	})
 	policy.Levels = levels
-	return &Monitor{policy: policy, counts: make(map[string]int)}, nil
+	m := &Monitor{
+		policy: policy,
+		counts: make([]atomic.Int64, len(levels)+1),
+		first:  make([]int, len(levels)+1),
+	}
+	for i := range m.first {
+		for j := 0; j <= i; j++ {
+			if m.levelName(j) == m.levelName(i) {
+				m.first[i] = j
+				break
+			}
+		}
+	}
+	return m, nil
+}
+
+// levelName is the name of level i in escalation order.
+func (m *Monitor) levelName(i int) string {
+	if i == len(m.policy.Levels) {
+		return m.policy.Terminal.Name
+	}
+	return m.policy.Levels[i].Name
 }
 
 // Gate selects the countermeasure for one outcome with the given dependable
@@ -114,50 +143,53 @@ func (m *Monitor) Gate(outcome int, uncertainty float64) (Decision, error) {
 	if uncertainty < 0 || uncertainty > 1 {
 		return Decision{}, fmt.Errorf("simplex: uncertainty %g outside [0,1]", uncertainty)
 	}
+	idx := len(m.policy.Levels)
 	level := m.policy.Terminal
-	accepted := false
 	for i, l := range m.policy.Levels {
 		if uncertainty <= l.MaxUncertainty {
-			level = l
-			accepted = i == 0
+			idx, level = i, l
 			break
 		}
 	}
-	m.mu.Lock()
-	m.counts[level.Name]++
-	m.total++
-	m.mu.Unlock()
+	m.counts[idx].Add(1)
 	return Decision{
 		Outcome:     outcome,
 		Uncertainty: uncertainty,
 		Level:       level,
-		Accepted:    accepted,
+		Index:       idx,
+		Accepted:    idx == 0,
 	}, nil
 }
 
-// Snapshot returns a copy of the activity counters.
+// Snapshot returns a copy of the activity counters. PerLevel holds the
+// names that have fired at least once.
 func (m *Monitor) Snapshot() Stats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	per := make(map[string]int, len(m.counts))
-	for k, v := range m.counts {
-		per[k] = v
+	total := 0
+	for i := range m.counts {
+		if n := int(m.counts[i].Load()); n > 0 {
+			per[m.levelName(i)] += n
+			total += n
+		}
 	}
-	return Stats{Total: m.total, PerLevel: per}
+	return Stats{Total: total, PerLevel: per}
 }
 
 // EachCount visits the per-countermeasure activation counts in escalation
 // order (levels ascending by bound, then the terminal countermeasure),
-// including levels that have never fired. Unlike Snapshot it allocates
-// nothing, so a metrics scrape can sit directly on top of it; visit must
-// not call back into the monitor.
+// including levels that have never fired; levels sharing a name each
+// report the name's count. Unlike Snapshot it allocates nothing, so a
+// metrics scrape can sit directly on top of it.
 func (m *Monitor) EachCount(visit func(name string, count int)) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, l := range m.policy.Levels {
-		visit(l.Name, m.counts[l.Name])
+	for i := range m.counts {
+		n := 0
+		for j := range m.counts {
+			if m.first[j] == m.first[i] {
+				n += int(m.counts[j].Load())
+			}
+		}
+		visit(m.levelName(i), n)
 	}
-	visit(m.policy.Terminal.Name, m.counts[m.policy.Terminal.Name])
 }
 
 // Policy returns the monitor's (sorted) policy.

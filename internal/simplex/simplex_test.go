@@ -1,6 +1,8 @@
 package simplex
 
 import (
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -163,5 +165,63 @@ func TestMonitorMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestMonitorCountsByName pins the counters' output for a policy whose
+// levels share names, which Validate allows: Snapshot counts each name once
+// over every level that carries it and lists only names that fired, and
+// EachCount visits every level in escalation order with its name's count.
+func TestMonitorCountsByName(t *testing.T) {
+	m, err := NewMonitor(Policy{
+		Levels: []Countermeasure{
+			{Name: "slow", MaxUncertainty: 0.6},
+			{Name: "go", MaxUncertainty: 0.1},
+			{Name: "slow", MaxUncertainty: 0.3},
+			{Name: "idle", MaxUncertainty: 0.8},
+		},
+		Terminal: Countermeasure{Name: "go", MaxUncertainty: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Escalation order: go(0.1) slow(0.3) slow(0.6) idle(0.8), terminal go.
+	for _, u := range []float64{0.05, 0.2, 0.2, 0.5, 0.9, 0.95, 0.99} {
+		if _, err := m.Gate(1, u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := m.Snapshot()
+	if snap.Total != 7 || len(snap.PerLevel) != 2 || snap.PerLevel["go"] != 4 || snap.PerLevel["slow"] != 3 {
+		t.Errorf("snapshot = %+v, want total 7 with go 4 and slow 3 (idle never fired)", snap)
+	}
+	var got []string
+	m.EachCount(func(name string, count int) { got = append(got, fmt.Sprintf("%s=%d", name, count)) })
+	if want := "go=4 slow=3 slow=3 idle=0 go=4"; strings.Join(got, " ") != want {
+		t.Errorf("EachCount visits %q, want %q", strings.Join(got, " "), want)
+	}
+}
+
+// TestDecisionIndex pins Decision.Index to the selected level's position in
+// escalation order, the order of the wire hello table: the sorted levels,
+// then the terminal.
+func TestDecisionIndex(t *testing.T) {
+	m, err := NewMonitor(DefaultTSRPolicy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	policy := m.Policy()
+	for _, u := range []float64{0, 0.01, 0.05, 0.3, 0.5, 0.51, 1} {
+		d, err := m.Gate(0, u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := policy.Terminal.Name
+		if d.Index < len(policy.Levels) {
+			want = policy.Levels[d.Index].Name
+		}
+		if d.Index > len(policy.Levels) || d.Level.Name != want || d.Accepted != (d.Index == 0) {
+			t.Errorf("Gate(u=%g) = level %q at index %d, accepted %v", u, d.Level.Name, d.Index, d.Accepted)
+		}
 	}
 }

@@ -462,6 +462,11 @@ func (c *Checkpointer) timedSync() error {
 // sound because the Store contract requires a failed Append to leave the log
 // as if the call never happened (FileStore truncates a partial frame back
 // out), so the retry can never land behind garbage of its own making.
+//
+// Only a failed append records a KindWALAppend event: a flush appends tens
+// of thousands of records, and its KindFlush event already carries their
+// count, so an event per record would evict every other store event from
+// the recorder's stripe. The store_append stage still times every record.
 func (c *Checkpointer) append(rec []byte) error {
 	var traceStart int64
 	if c.cfg.Trace != nil {
@@ -475,14 +480,8 @@ func (c *Checkpointer) append(rec []byte) error {
 	if c.cfg.Stages != nil {
 		c.cfg.Stages.StoreAppend.Observe(c.now().Sub(t0))
 	}
-	if c.cfg.Trace != nil {
-		status := trace.StatusOK
-		if err != nil {
-			status = trace.StatusError
-		}
-		c.cfg.Trace.RecordSince(traceStart, trace.KindWALAppend, status, 0, 0, uint64(len(rec)))
-	}
 	if err != nil {
+		c.cfg.Trace.RecordSince(traceStart, trace.KindWALAppend, trace.StatusError, 0, 0, uint64(len(rec)))
 		return err
 	}
 	c.walRecords.Add(1)

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"github.com/iese-repro/tauw/internal/store"
+	"github.com/iese-repro/tauw/internal/trace"
 )
 
 // failAllOps schedules every store operation to fail until Clear.
@@ -51,6 +52,54 @@ func TestFlushRetriesTransientFault(t *testing.T) {
 	}
 	if st.Degraded {
 		t.Fatal("one transient fault must not suggest degraded mode")
+	}
+}
+
+// TestFlushTracesPerFlush pins the store's trace volume: a flush records one
+// KindFlush event whose Arg counts its WAL records, and no KindWALAppend
+// event for an append that succeeded. A failed append records one
+// KindWALAppend event with StatusError.
+func TestFlushTracesPerFlush(t *testing.T) {
+	r := newRig(t)
+	_ = drive(t, r, schedule{ticks: 10}, 0, 5, nil)
+	rec := trace.New(trace.Config{})
+	fs := store.NewFaultStore(store.NewMemStore())
+	cp, err := store.NewCheckpointer(fs, r.pool, r.calib, r.leafs, store.CheckpointConfig{
+		RetryAttempts: 1, Trace: rec,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cp.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	n := cp.CheckpointStats().WALRecords
+	if n < 2 {
+		t.Fatalf("the flush appended %d WAL records, want several", n)
+	}
+	count := func(kind trace.Kind) (events []trace.Event) {
+		for _, ev := range rec.Snapshot(nil) {
+			if ev.Kind == kind {
+				events = append(events, ev)
+			}
+		}
+		return events
+	}
+	if flushes := count(trace.KindFlush); len(flushes) != 1 || flushes[0].Arg != n || flushes[0].Status != trace.StatusOK {
+		t.Errorf("flush events %+v, want one ok event with Arg %d", flushes, n)
+	}
+	if appends := count(trace.KindWALAppend); len(appends) != 0 {
+		t.Errorf("successful appends recorded %d wal_append events, want 0", len(appends))
+	}
+
+	_ = drive(t, r, schedule{ticks: 10}, 5, 6, nil)
+	fs.FailOps(store.OpAppend, 0, 1, nil)
+	if err := cp.Flush(); err == nil {
+		t.Fatal("flush succeeded against a failing append")
+	}
+	appends := count(trace.KindWALAppend)
+	if len(appends) != 1 || appends[0].Status != trace.StatusError {
+		t.Errorf("failed append recorded %+v, want one wal_append event with status error", appends)
 	}
 }
 

@@ -12,8 +12,9 @@ import (
 
 // Recorder defaults: 8 ring stripes of 4096 events cover ~30k events of
 // recent history (about a second of saturated single-core stepping, minutes
-// of realistic mixed traffic) in ~1.3 MiB; anomaly snapshots look back 30
-// seconds; 256 sheds inside one second freeze a shed-rate anomaly.
+// of realistic mixed traffic) in ~1.3 MiB; an anomaly snapshot keeps up to
+// the last 30 seconds, as far back as the rings still reach; 256 sheds
+// inside one second freeze a shed-rate anomaly.
 const (
 	DefaultRings      = 8
 	DefaultRingEvents = 4096
@@ -30,7 +31,8 @@ type Config struct {
 	// RingEvents is each stripe's capacity in events (rounded up to a
 	// power of two); the oldest events are overwritten when full.
 	RingEvents int
-	// Window is how far back an anomaly snapshot reaches.
+	// Window bounds how far back an anomaly snapshot reaches; it holds
+	// less when the rings have already overwritten the window's start.
 	Window time.Duration
 	// ShedPerSec freezes a "shed_rate" anomaly when this many admission
 	// sheds land inside one second; < 0 disables the trigger.
@@ -279,10 +281,11 @@ func (r *Recorder) Capacity() int {
 	return len(r.rings) * len(r.rings[0].buf)
 }
 
-// Freeze captures the last Window of events as the recorder's anomaly
-// snapshot, records a KindAnomaly marker in the live stream, and fires the
-// OnAnomaly hook. Re-freezing replaces the previous snapshot: the *last*
-// anomaly is the one an operator is paged about.
+// Freeze captures the events of the last Window that the rings still hold
+// as the recorder's anomaly snapshot, records a KindAnomaly marker in the
+// live stream, and fires the OnAnomaly hook. Re-freezing replaces the
+// previous snapshot: the *last* anomaly is the one an operator is paged
+// about.
 func (r *Recorder) Freeze(reason string) {
 	if r == nil {
 		return

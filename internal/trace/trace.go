@@ -22,8 +22,8 @@ const (
 	// KindStep is one pool step (enter→exit): Series is the track id, Dur
 	// the step latency, Arg the model version that served it.
 	KindStep Kind = 1 + iota
-	// KindBatch is one batch fan-out: Arg is the item count, Dur the
-	// whole-batch latency.
+	// KindBatch is one batch (the envelope of its step_run and failed-step
+	// events): Arg is the item count, Dur the whole-batch latency.
 	KindBatch
 	// KindFeedback is one feedback join: Series is the track id, Arg the
 	// step index the truth arrived for.
@@ -37,7 +37,9 @@ const (
 	KindCheckpoint
 	// KindFlush is one incremental flush sweep: Arg is the record count.
 	KindFlush
-	// KindWALAppend is one WAL append: Arg is the record size in bytes.
+	// KindWALAppend is one failed WAL append: Arg is the record size in
+	// bytes. A successful append records nothing; its flush's KindFlush
+	// counts it.
 	KindWALAppend
 	// KindRetry is one failed store attempt inside the retry loop: Arg is
 	// the attempt number (1-based).
@@ -54,6 +56,13 @@ const (
 	// KindAnomaly marks a frozen anomaly snapshot inside the live stream,
 	// so a later /debug/flight dump shows when the freeze happened.
 	KindAnomaly
+	// KindStepRun is one batch worker's run over one shard group: Shard is
+	// the shard, Series the worker index (0 is the goroutine that
+	// dispatched the batch), Arg the run's item count, Dur its stepping
+	// time. Status is error when any item of the run failed. A batch
+	// records these instead of one KindStep per successful item; a failed
+	// item still records its own KindStep.
+	KindStepRun
 
 	numKinds = iota + 1
 )
@@ -62,6 +71,7 @@ const (
 var kindNames = [numKinds]string{
 	"", "step", "batch", "feedback", "swap", "recalib", "checkpoint",
 	"flush", "wal_append", "retry", "breaker", "shed", "drift", "anomaly",
+	"step_run",
 }
 
 // Name returns the kind's wire name ("step", "breaker", ...).
