@@ -1,13 +1,10 @@
-// codec_recalib.go extends the reflection-free codec to the recalibration
-// endpoint: POST /v1/recalibrate responses — the old/new model version and
-// the per-leaf bound deltas of the swap — are rendered with the same
-// append-based writers as the hot endpoints, byte-identical to the structs'
-// stdlib encoding.
+// codec_recalib.go shapes the recalibration endpoint's body: POST
+// /v1/recalibrate answers with the old/new model version and the per-leaf
+// bound deltas of the swap, rendered by writeJSON like every other cold
+// admin response.
 package main
 
 import (
-	"strconv"
-
 	"github.com/iese-repro/tauw/internal/dtree"
 	"github.com/iese-repro/tauw/internal/recalib"
 )
@@ -68,64 +65,4 @@ func leafDeltaFrom(d dtree.LeafDelta) recalibLeafDelta {
 		PriorEvents:  d.PriorEvents,
 		Refreshed:    d.Refreshed,
 	}
-}
-
-// appendRecalibLeafDelta renders one leaf delta; field order and formatting
-// match the struct's stdlib encoding.
-func appendRecalibLeafDelta(dst []byte, d *recalibLeafDelta) ([]byte, error) {
-	var err error
-	dst = append(dst, `{"leaf":`...)
-	dst = strconv.AppendInt(dst, int64(d.Leaf), 10)
-	dst = append(dst, `,"old_bound":`...)
-	if dst, err = appendJSONFloat(dst, d.OldBound); err != nil {
-		return dst, err
-	}
-	dst = append(dst, `,"new_bound":`...)
-	if dst, err = appendJSONFloat(dst, d.NewBound); err != nil {
-		return dst, err
-	}
-	dst = append(dst, `,"online_count":`...)
-	dst = strconv.AppendInt(dst, int64(d.OnlineCount), 10)
-	dst = append(dst, `,"online_events":`...)
-	dst = strconv.AppendInt(dst, int64(d.OnlineEvents), 10)
-	dst = append(dst, `,"prior_count":`...)
-	dst = strconv.AppendInt(dst, int64(d.PriorCount), 10)
-	dst = append(dst, `,"prior_events":`...)
-	dst = strconv.AppendInt(dst, int64(d.PriorEvents), 10)
-	dst = append(dst, `,"refreshed":`...)
-	dst = strconv.AppendBool(dst, d.Refreshed)
-	return append(dst, '}'), nil
-}
-
-// appendRecalibResponse renders the recalibration body with the omitempty
-// semantics of the struct tags (reason omitted when empty, nil leaves as
-// null).
-func appendRecalibResponse(dst []byte, r *recalibResponse) ([]byte, error) {
-	var err error
-	dst = append(dst, `{"swapped":`...)
-	dst = strconv.AppendBool(dst, r.Swapped)
-	if r.Reason != "" {
-		dst = append(dst, `,"reason":`...)
-		dst = appendJSONString(dst, r.Reason)
-	}
-	dst = append(dst, `,"old_version":`...)
-	dst = strconv.AppendUint(dst, r.OldVersion, 10)
-	dst = append(dst, `,"new_version":`...)
-	dst = strconv.AppendUint(dst, r.NewVersion, 10)
-	dst = append(dst, `,"leaves":`...)
-	if r.Leaves == nil {
-		dst = append(dst, "null"...)
-	} else {
-		dst = append(dst, '[')
-		for i := range r.Leaves {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			if dst, err = appendRecalibLeafDelta(dst, &r.Leaves[i]); err != nil {
-				return dst, err
-			}
-		}
-		dst = append(dst, ']')
-	}
-	return append(dst, '}'), nil
 }

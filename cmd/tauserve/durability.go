@@ -28,35 +28,22 @@ func WithDurability() ServerOption {
 	return func(o *serverOptions) { o.journal = true }
 }
 
-// durabilityConfig carries the -state-dir flag family.
-type durabilityConfig struct {
-	stateDir           string
-	flushInterval      time.Duration
-	checkpointInterval time.Duration
-	walMaxBytes        int64
-	retryAttempts      int
-	retryBase          time.Duration
-	breakerThreshold   int
-	probeInterval      time.Duration
-	// faultInject wraps the file store in a store.FaultStore and routes
-	// POST /debug/fault — the chaos harness's control surface. Testing
-	// only; never set it in production.
-	faultInject bool
-}
-
 // attachDurability opens the state directory, restores serving state into
 // the freshly built (still traffic-free) server, writes an immediate
 // post-recovery checkpoint so the next crash recovers from a compact blob
 // instead of re-replaying the old WAL tail, and starts the write-behind
-// loop. It returns the running checkpointer; the caller owns the final
-// Stop (see serveUntilShutdown).
-func (s *Server) attachDurability(cfg durabilityConfig) (*store.Checkpointer, error) {
-	fs, err := store.OpenFileStore(cfg.stateDir)
+// loop with cfg's cadence and fault handling (its Trace and Stages are the
+// server's). faultInject wraps the file store in a store.FaultStore and
+// routes POST /debug/fault, the chaos harness's control surface: testing
+// only, never set it in production. It returns the running checkpointer;
+// the caller owns the final Stop (see serveUntilShutdown).
+func (s *Server) attachDurability(stateDir string, faultInject bool, cfg store.CheckpointConfig) (*store.Checkpointer, error) {
+	fs, err := store.OpenFileStore(stateDir)
 	if err != nil {
 		return nil, fmt.Errorf("opening state dir: %w", err)
 	}
 	var st store.Store = fs
-	if cfg.faultInject {
+	if faultInject {
 		// The chaos harness's store: every operation passes through the
 		// runtime-scriptable fault plan that POST /debug/fault reprograms.
 		s.faults = store.NewFaultStore(fs)
@@ -67,23 +54,14 @@ func (s *Server) attachDurability(cfg durabilityConfig) (*store.Checkpointer, er
 	rs, err := store.Recover(st, s.pool, s.calib, s.leafStats)
 	if err != nil {
 		fs.Close()
-		return nil, fmt.Errorf("recovering state from %s: %w", cfg.stateDir, err)
+		return nil, fmt.Errorf("recovering state from %s: %w", stateDir, err)
 	}
 	durLog.Info("recovered state",
-		"dir", cfg.stateDir, "took", time.Since(start).Round(time.Millisecond),
+		"dir", stateDir, "took", time.Since(start).Round(time.Millisecond),
 		"series", rs.Series, "wal_records", rs.Records, "closes", rs.Closes,
 		"model_version", rs.ModelVersion, "had_checkpoint", rs.HadCheckpoint)
-	cp, err := store.NewCheckpointer(st, s.pool, s.calib, s.leafStats, store.CheckpointConfig{
-		FlushInterval:      cfg.flushInterval,
-		CheckpointInterval: cfg.checkpointInterval,
-		MaxWALBytes:        cfg.walMaxBytes,
-		RetryAttempts:      cfg.retryAttempts,
-		RetryBase:          cfg.retryBase,
-		BreakerThreshold:   cfg.breakerThreshold,
-		ProbeInterval:      cfg.probeInterval,
-		Trace:              s.trace,
-		Stages:             s.stages,
-	})
+	cfg.Trace, cfg.Stages = s.trace, s.stages
+	cp, err := store.NewCheckpointer(st, s.pool, s.calib, s.leafStats, cfg)
 	if err != nil {
 		fs.Close()
 		return nil, err

@@ -69,15 +69,16 @@
 // increasing model version is stamped into every step response). With
 // -auto-recalib the swap also happens automatically when the drift alarm
 // fires, guarded by a cooldown and a min-feedback-per-leaf requirement.
+// The monitor, the drift detector and the recalibration policy run their
+// package defaults, as the wrapper pool runs core.DefaultShards shards; a
+// program embedding the server tunes them with WithMonitorConfig and
+// WithRecalibration.
 //
 // Usage:
 //
 //	tauserve [-addr :8080] [-tcp-addr ""] [-preset tiny|quick|paper]
-//	         [-shards 0] [-max-series 0] [-buffer-limit 0]
-//	         [-feedback-ring 256] [-brier-window 1024] [-calib-bins 10]
-//	         [-drift-delta -1] [-drift-lambda 25] [-drift-min-samples 200]
-//	         [-auto-recalib] [-recalib-min-leaf 50] [-recalib-cooldown 1m]
-//	         [-recalib-laplace 0] [-recalib-drop-prior]
+//	         [-max-series 0] [-buffer-limit 0] [-feedback-ring 256]
+//	         [-auto-recalib]
 //	         [-state-dir ""] [-flush-interval 1s] [-checkpoint-interval 1m]
 //	         [-wal-max-bytes 16777216]
 //	         [-store-retry-attempts 3] [-store-retry-base 10ms]
@@ -126,8 +127,6 @@ import (
 	"time"
 
 	"github.com/iese-repro/tauw/internal/core"
-	"github.com/iese-repro/tauw/internal/monitor"
-	"github.com/iese-repro/tauw/internal/recalib"
 	"github.com/iese-repro/tauw/internal/simplex"
 	"github.com/iese-repro/tauw/internal/store"
 	"github.com/iese-repro/tauw/internal/trace"
@@ -155,37 +154,13 @@ func run(args []string) error {
 		preset = fs.String("preset", "tiny",
 			"calibrated wrapper to serve: tiny, quick, or paper (bundles built offline "+
 				"from the study of the same name and compiled into the binary)")
-		shards       = fs.Int("shards", 0, "wrapper-pool shard count (0 = default, rounded up to a power of two)")
 		maxSeries    = fs.Int("max-series", 0, "cap on concurrently open series (0 = unlimited)")
 		bufferLimit  = fs.Int("buffer-limit", 0, "per-series timeseries buffer cap (0 = unbounded)")
 		feedbackRing = fs.Int("feedback-ring", DefaultFeedbackRing,
 			"cap on the per-series provenance ring joined by /v1/feedback: how many "+
 				"steps back feedback may reach; each ring grows to it by use (0 disables feedback)")
-		brierWindow = fs.Int("brier-window", monitor.DefaultWindow,
-			"per-shard sliding window of the streaming Brier score")
-		calibBins = fs.Int("calib-bins", monitor.DefaultBins,
-			"reliability-histogram bins over predicted uncertainty")
-		driftDelta = fs.Float64("drift-delta", -1,
-			"Page-Hinkley tolerance on per-feedback Brier degradation "+
-				"(negative means the package default; 0 is honoured as the strict "+
-				"every-deviation-counts detector)")
-		driftLambda = fs.Float64("drift-lambda", monitor.DefaultDriftLambda,
-			"Page-Hinkley alarm threshold (must be > 0)")
-		driftMinSamples = fs.Int("drift-min-samples", monitor.DefaultDriftMinSamples,
-			"feedbacks required before a drift alarm can fire "+
-				"(0 means the default; pass 1 to allow alarms from the first feedback)")
 		autoRecalib = fs.Bool("auto-recalib", false,
 			"recalibrate and hot-swap the taQIM automatically when the drift alarm fires")
-		recalibMinLeaf = fs.Int("recalib-min-leaf", recalib.DefaultMinLeafFeedback,
-			"minimum ground-truth feedbacks a taQIM leaf needs before its bound is refreshed "+
-				"(0 means the default; negative disables the guard entirely)")
-		recalibCooldown = fs.Duration("recalib-cooldown", recalib.DefaultCooldown,
-			"minimum time between automatic recalibration attempts "+
-				"(0 means the default; negative disables the cooldown)")
-		recalibLaplace = fs.Int("recalib-laplace", 0,
-			"add-alpha Laplace smoothing applied to refreshed leaf bounds (0 = off)")
-		recalibDropPrior = fs.Bool("recalib-drop-prior", false,
-			"recompute refreshed bounds from online evidence alone, discarding the offline calibration counts")
 		stateDir = fs.String("state-dir", "",
 			"directory for durable serving state (checkpoint + write-ahead log); "+
 				"empty disables durability. On startup the directory is replayed, so "+
@@ -286,20 +261,8 @@ func run(args []string) error {
 		},
 	})
 	opts := []ServerOption{
-		WithTrace(flight),
-		WithPoolShards(*shards), WithMaxSeries(*maxSeries),
+		WithTrace(flight), WithMaxSeries(*maxSeries),
 		WithBufferLimit(*bufferLimit), WithFeedbackRing(*feedbackRing),
-		WithMonitorConfig(monitor.Config{
-			Window: *brierWindow,
-			Bins:   *calibBins,
-			Drift:  driftConfigFromFlags(*driftDelta, *driftLambda, *driftMinSamples),
-		}),
-		WithRecalibration(recalib.Config{
-			MinLeafFeedback: *recalibMinLeaf,
-			Cooldown:        *recalibCooldown,
-			LaplaceAlpha:    *recalibLaplace,
-			DropPrior:       *recalibDropPrior,
-		}),
 		WithAutoRecalib(*autoRecalib),
 		WithAdmission(*maxInflight, *admissionQueue),
 		WithRequestTimeout(*requestTimeout),
@@ -317,16 +280,14 @@ func run(args []string) error {
 	// write-behind checkpointer starts persisting on its own clock.
 	var cp *store.Checkpointer
 	if *stateDir != "" {
-		cp, err = srv.attachDurability(durabilityConfig{
-			stateDir:           *stateDir,
-			flushInterval:      *flushInterval,
-			checkpointInterval: *checkpointInterval,
-			walMaxBytes:        *walMaxBytes,
-			retryAttempts:      *storeRetryAttempts,
-			retryBase:          *storeRetryBase,
-			breakerThreshold:   *breakerThreshold,
-			probeInterval:      *breakerProbe,
-			faultInject:        *faultInject,
+		cp, err = srv.attachDurability(*stateDir, *faultInject, store.CheckpointConfig{
+			FlushInterval:      *flushInterval,
+			CheckpointInterval: *checkpointInterval,
+			MaxWALBytes:        *walMaxBytes,
+			RetryAttempts:      *storeRetryAttempts,
+			RetryBase:          *storeRetryBase,
+			BreakerThreshold:   *breakerThreshold,
+			ProbeInterval:      *breakerProbe,
 		})
 		if err != nil {
 			return err
@@ -452,23 +413,6 @@ func validateServeFlags(v serveFlagValues) error {
 		return fmt.Errorf("-fault-inject needs -state-dir: there is no store to inject faults into")
 	}
 	return nil
-}
-
-// driftConfigFromFlags maps the drift flags onto monitor.DriftConfig. The
-// -drift-delta flag uses a negative sentinel for "package default" so that
-// an explicit 0 — the strict detector where every deviation above the
-// running mean counts — survives to the detector instead of being folded
-// into the default (the DriftConfig.DeltaSet regression).
-func driftConfigFromFlags(delta, lambda float64, minSamples int) monitor.DriftConfig {
-	cfg := monitor.DriftConfig{
-		Lambda:     lambda,
-		MinSamples: minSamples,
-	}
-	if delta >= 0 {
-		cfg.Delta = delta
-		cfg.DeltaSet = true
-	}
-	return cfg
 }
 
 // serveUntilShutdown runs the listener until it fails or ctx is cancelled

@@ -1,14 +1,47 @@
-// main_test.go covers startup flag validation: every flag whose runtime
-// behavior would be undefined (negative intervals panic time.NewTicker, a
-// zero WAL cap reads as "no limit" but means "default") must fail fast with
-// an error naming the flag.
+// main_test.go covers the command line: the exact flag set the binary
+// offers, and startup flag validation — every flag whose runtime behavior
+// would be undefined (negative intervals panic time.NewTicker, a zero WAL
+// cap reads as "no limit" but means "default") must fail fast with an error
+// naming the flag.
 package main
 
 import (
+	"os/exec"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 )
+
+// TestFlagSet pins the names `tauserve -h` lists. Every other setting is a
+// package default the binary serves; a new knob is a deliberate edit here.
+func TestFlagSet(t *testing.T) {
+	if testing.Short() {
+		t.Skip("process-level test")
+	}
+	want := []string{
+		"addr", "tcp-addr", "preset", "max-series", "buffer-limit",
+		"feedback-ring", "auto-recalib", "state-dir", "flush-interval",
+		"checkpoint-interval", "wal-max-bytes", "store-retry-attempts",
+		"store-retry-base", "breaker-threshold", "breaker-probe",
+		"fault-inject", "max-inflight", "admission-queue", "request-timeout",
+		"read-timeout", "write-timeout", "drain-timeout", "drain-grace",
+		"debug-addr",
+	}
+	// -h prints the usage and exits non-zero (flag.ErrHelp), so only the
+	// output is checked.
+	out, _ := exec.Command(buildServeBinary(t), "-h").CombinedOutput()
+	var got []string
+	for _, m := range regexp.MustCompile(`(?m)^  -([a-z-]+)`).FindAllSubmatch(out, -1) {
+		got = append(got, string(m[1]))
+	}
+	slices.Sort(got)
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Errorf("tauserve -h lists %d flags %v,\nwant %d %v\n%s", len(got), got, len(want), want, out)
+	}
+}
 
 // validFlags is a baseline that passes validation; each case perturbs one
 // field.

@@ -59,8 +59,8 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 // the per-leaf deltas (the audit trail of the swap). The policy's cooldown
 // does not apply to manual triggers; the min-feedback-per-leaf guard does,
 // and when no leaf qualifies the response reports swapped=false with the
-// reason instead of bumping the version for nothing. The body is rendered by
-// the reflection-free codec like every other v1 endpoint.
+// reason instead of bumping the version for nothing. The endpoint is cold
+// (one call per swap), so the stdlib encoder renders it through writeJSON.
 func (s *Server) handleRecalibrate(w http.ResponseWriter, r *http.Request) {
 	drainBody(w, r)
 	rep, err := s.recal.Recalibrate()
@@ -72,15 +72,7 @@ func (s *Server) handleRecalibrate(w http.ResponseWriter, r *http.Request) {
 		recalibLog.Info("manual recalibration swapped the model",
 			"old_version", rep.OldVersion, "new_version", rep.NewVersion)
 	}
-	sc := getScratch()
-	defer sc.release()
-	resp := recalibResponseFrom(rep)
-	sc.out, err = appendRecalibResponse(sc.out[:0], &resp)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	writeRaw(w, http.StatusOK, sc.out, "recalibrate")
+	writeJSON(w, http.StatusOK, recalibResponseFrom(rep), "recalibrate")
 }
 
 // handleMetrics renders the Prometheus exposition into the pooled response

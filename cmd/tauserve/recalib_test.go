@@ -1,10 +1,7 @@
 package main
 
 import (
-	"encoding/json"
-	"errors"
 	"io"
-	"math"
 	"net/http"
 	"strings"
 	"testing"
@@ -157,67 +154,5 @@ func TestAutoRecalibOnDriftAlarm(t *testing.T) {
 	// The swap re-armed the detector: the alarm is no longer active.
 	if strings.Contains(metrics, "tauw_drift_active 1\n") {
 		t.Error("drift alarm still active after the auto swap")
-	}
-}
-
-// TestRecalibResponseMatchesStdlib pins the reflection-free recalibration
-// encoder byte-for-byte against encoding/json.
-func TestRecalibResponseMatchesStdlib(t *testing.T) {
-	cases := []recalibResponse{
-		{Swapped: false, Reason: recalib.ReasonNoEvidence, OldVersion: 1, NewVersion: 1},
-		{Swapped: false, Reason: `guard <&> "quoted"`, OldVersion: 7, NewVersion: 7, Leaves: []recalibLeafDelta{}},
-		{
-			Swapped: true, OldVersion: 2, NewVersion: 3,
-			Leaves: []recalibLeafDelta{
-				{Leaf: 0, OldBound: 0.0072, NewBound: 0.31, OnlineCount: 120, OnlineEvents: 40, PriorCount: 220, PriorEvents: 2, Refreshed: true},
-				{Leaf: 1, OldBound: 1e-7, NewBound: 1e-7, PriorCount: 380, PriorEvents: 9},
-			},
-		},
-	}
-	for i, rc := range cases {
-		want, err := json.Marshal(rc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := appendRecalibResponse(nil, &rc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(got) != string(want) {
-			t.Errorf("case %d:\n got %s\nwant %s", i, got, want)
-		}
-	}
-	// Non-finite bounds fail like the stdlib.
-	bad := recalibResponse{Leaves: []recalibLeafDelta{{OldBound: math.NaN()}}}
-	if _, err := appendRecalibResponse(nil, &bad); !errors.Is(err, errNonFiniteJSON) {
-		t.Errorf("NaN bound: err = %v, want errNonFiniteJSON", err)
-	}
-	if _, err := json.Marshal(bad); err == nil {
-		t.Error("stdlib unexpectedly encodes NaN")
-	}
-}
-
-// TestDriftDeltaFlagSentinel pins the flag layer of the explicit-zero
-// satellite: negative means "package default", zero and positive values are
-// honoured verbatim.
-func TestDriftDeltaFlagSentinel(t *testing.T) {
-	cases := []struct {
-		flag      float64
-		wantDelta float64
-		wantSet   bool
-	}{
-		{-1, 0, false},     // sentinel: package default
-		{0, 0, true},       // explicit strict detector
-		{0.25, 0.25, true}, // explicit tolerance
-	}
-	for _, tc := range cases {
-		got := driftConfigFromFlags(tc.flag, 25, 200)
-		if got.Delta != tc.wantDelta || got.DeltaSet != tc.wantSet {
-			t.Errorf("driftConfigFromFlags(%g): Delta=%g DeltaSet=%v, want Delta=%g DeltaSet=%v",
-				tc.flag, got.Delta, got.DeltaSet, tc.wantDelta, tc.wantSet)
-		}
-		if got.Lambda != 25 || got.MinSamples != 200 {
-			t.Errorf("driftConfigFromFlags(%g) dropped lambda/min-samples: %+v", tc.flag, got)
-		}
 	}
 }

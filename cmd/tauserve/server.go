@@ -112,7 +112,6 @@ type ServerOption func(*serverOptions)
 
 type serverOptions struct {
 	maxSeries      int
-	shards         int
 	bufferLimit    int
 	feedbackRing   int
 	monitorCfg     monitor.Config
@@ -139,11 +138,6 @@ func WithMaxSeries(n int) ServerOption {
 	return func(o *serverOptions) { o.maxSeries = n }
 }
 
-// WithPoolShards overrides the wrapper pool's shard count (0 = default).
-func WithPoolShards(n int) ServerOption {
-	return func(o *serverOptions) { o.shards = n }
-}
-
 // WithBufferLimit caps each series' timeseries buffer (0 = unbounded). The
 // step hot path is O(1) in series length either way; the cap bounds memory
 // and fixes the taQF window, so long-lived deployments should still set it.
@@ -161,15 +155,16 @@ func WithFeedbackRing(n int) ServerOption {
 
 // WithMonitorConfig overrides the runtime calibration monitor's
 // configuration (Brier window, reliability bins, drift detection); zero
-// fields keep the monitor package defaults.
+// fields keep the monitor package defaults, which the tauserve command
+// serves.
 func WithMonitorConfig(cfg monitor.Config) ServerOption {
 	return func(o *serverOptions) { o.monitorCfg = cfg }
 }
 
 // WithRecalibration overrides the online-recalibration policy (min feedback
 // per leaf, auto-trigger cooldown, Laplace smoothing, prior handling); zero
-// fields keep the recalib package defaults. The recalibration machinery is
-// always wired — this only tunes it.
+// fields keep the recalib package defaults, which the tauserve command
+// serves. The recalibration machinery is always wired — this only tunes it.
 func WithRecalibration(cfg recalib.Config) ServerOption {
 	return func(o *serverOptions) { o.recalibCfg = cfg }
 }
@@ -247,7 +242,7 @@ func NewServer(base *uw.Wrapper, taqim *uw.QualityImpactModel, policy simplex.Po
 	if err != nil {
 		return nil, err
 	}
-	poolOpts := []core.PoolOption{core.WithShards(o.shards), core.WithMonitoring(o.feedbackRing)}
+	poolOpts := []core.PoolOption{core.WithMonitoring(o.feedbackRing)}
 	if o.journal {
 		poolOpts = append(poolOpts, core.WithStateJournal())
 	}
@@ -259,7 +254,7 @@ func NewServer(base *uw.Wrapper, taqim *uw.QualityImpactModel, policy simplex.Po
 	if err != nil {
 		return nil, err
 	}
-	leafStats, err := monitor.NewLeafStats(taqim.NumRegions(), o.shards)
+	leafStats, err := monitor.NewLeafStats(taqim.NumRegions(), 0)
 	if err != nil {
 		return nil, err
 	}

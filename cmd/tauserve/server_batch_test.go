@@ -11,12 +11,13 @@ import (
 	"testing"
 
 	"github.com/iese-repro/tauw/internal/augment"
+	"github.com/iese-repro/tauw/internal/core"
 	"github.com/iese-repro/tauw/internal/eval"
 	"github.com/iese-repro/tauw/internal/simplex"
 )
 
-// testServerWith is testServer with server options (budget caps, shard
-// overrides) for the batch and regression tests.
+// testServerWith is testServer with server options (budget caps,
+// admission) for the batch and regression tests.
 func testServerWith(t *testing.T, opts ...ServerOption) *httptest.Server {
 	t.Helper()
 	studyOnce.Do(func() {
@@ -244,7 +245,7 @@ func TestServerSeriesLeakRegression(t *testing.T) {
 // the server simultaneously (run under -race): every request must succeed
 // and the stats must account for every gated step.
 func TestServerConcurrentBatchClients(t *testing.T) {
-	ts := testServerWith(t, WithPoolShards(8))
+	ts := testServerWith(t)
 	const (
 		clients  = 8
 		rounds   = 5
@@ -326,8 +327,8 @@ func TestServerConcurrentBatchClients(t *testing.T) {
 	if stats.ActiveSeries != clients {
 		t.Errorf("active = %d, want %d", stats.ActiveSeries, clients)
 	}
-	if stats.PoolShards != 8 {
-		t.Errorf("pool shards = %d, want 8", stats.PoolShards)
+	if stats.PoolShards != core.DefaultShards {
+		t.Errorf("pool shards = %d, want %d", stats.PoolShards, core.DefaultShards)
 	}
 }
 

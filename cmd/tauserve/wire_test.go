@@ -25,6 +25,7 @@ import (
 
 	"github.com/iese-repro/tauw/internal/augment"
 	"github.com/iese-repro/tauw/internal/simplex"
+	"github.com/iese-repro/tauw/internal/store"
 	"github.com/iese-repro/tauw/internal/wire"
 )
 
@@ -719,7 +720,7 @@ func TestShutdownCheckpointsAfterIncompleteDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, err := srv.attachDurability(durabilityConfig{stateDir: t.TempDir()})
+	cp, err := srv.attachDurability(t.TempDir(), false, store.CheckpointConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -96,6 +96,11 @@ type pooledWrapper struct {
 	// the mutation paths — a plain store under a lock the path already
 	// holds is cheaper than branching on whether anyone collects it.
 	dirty bool
+	// logged marks a track the durability layer has captured (a sweep
+	// snapshot, or a restore), so the log may hold a series record for it;
+	// closed marks a track Close has retired, which sweeps then skip.
+	// Close journals only a logged track. Both guarded by mu.
+	logged, closed bool
 }
 
 // PoolOption customises pool construction.
@@ -321,17 +326,26 @@ func stepStatus(err error) trace.Status {
 	return trace.StatusError
 }
 
-// Close retires a track.
+// Close retires a track. On a journaling pool it journals the track only
+// if a sweep or a restore has captured it: a track the log has never seen
+// needs no close record. The closed mark, set in the same hold of pw.mu
+// that reads logged, keeps a later sweep from capturing the track, so every
+// series record in the log is followed by its track's close.
 func (p *WrapperPool) Close(trackID int) error {
 	sh := p.trackShardFor(trackID)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if _, ok := sh.tracks[trackID]; !ok {
+	pw, ok := sh.tracks[trackID]
+	if !ok {
 		return unknownTrack(trackID)
 	}
 	delete(sh.tracks, trackID)
 	p.active.Add(-1)
-	if p.journaling {
+	pw.mu.Lock()
+	pw.closed = true
+	logged := pw.logged
+	pw.mu.Unlock()
+	if p.journaling && logged {
 		p.journalMu.Lock()
 		p.journal = append(p.journal, trackID)
 		p.journalMu.Unlock()

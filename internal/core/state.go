@@ -52,8 +52,8 @@ type ProvEntry struct {
 // at its existing capacity, so a steady-state flush loop allocates nothing
 // once the high-water marks are reached.
 type SeriesState struct {
-	// Track is the pool track id; negative ids are minted series (their
-	// string id is derivable, see SeriesID).
+	// Track is the pool track id; negative ids are minted series (series
+	// "s<n>" is track -n, see parseSeries).
 	Track int
 	// Total is the number of steps since the series began, including
 	// records a full ring buffer has evicted.
@@ -76,15 +76,6 @@ type SeriesState struct {
 	// arena backs the Records' Quality copies (grown once per snapshot so
 	// the sub-slices never move mid-fill).
 	arena []float64
-}
-
-// SeriesID returns the string series id of a minted series track ("s<n>"
-// for Track -n) and "" for tracker-assigned non-negative tracks.
-func (st *SeriesState) SeriesID() string {
-	if st.Track >= 0 {
-		return ""
-	}
-	return seriesID(uint64(-int64(st.Track)))
 }
 
 // snapshotInto captures the track's state. Called with pw.mu held; the
@@ -178,11 +169,15 @@ func (p *WrapperPool) SnapshotTrack(trackID int, st *SeriesState) error {
 // track is re-marked dirty and the sweep stops, so no mutation is lost to
 // a failed flush. Returns the number of tracks visited.
 //
-// The durability layer calls this on the flush clock and must append any
-// drained close records (DrainClosed) to the log *after* the snapshots of
-// the same sweep: a track closed mid-sweep may still be captured, and the
-// ordering guarantees its close record lands later in the log, so recovery
-// converges on closed rather than resurrected.
+// A sweep skips closed tracks and marks each track it captures as logged,
+// and Close journals only logged tracks (see Close). The durability layer
+// calls this on the flush clock and must write the closes it drains
+// (DrainClosed) *after* the same sweep's snapshots: a track closed
+// mid-sweep may still be captured, and the ordering lands its close record
+// behind its series record, so recovery converges on closed rather than
+// resurrected. A drained close stays the caller's to write until the log
+// holds it: a full checkpoint drains before its sweep and discards those
+// closes only once the store has accepted the blob.
 func (p *WrapperPool) CollectDirty(st *SeriesState, visit func(*SeriesState) error) (int, error) {
 	return p.sweepTracks(st, visit, true)
 }
@@ -214,11 +209,11 @@ func (p *WrapperPool) sweepTracks(st *SeriesState, visit func(*SeriesState) erro
 		sh.mu.Unlock()
 		for i, pw := range pws {
 			pw.mu.Lock()
-			if onlyDirty && !pw.dirty {
+			if pw.closed || onlyDirty && !pw.dirty {
 				pw.mu.Unlock()
 				continue
 			}
-			pw.dirty = false
+			pw.dirty, pw.logged = false, true
 			pw.snapshotInto(ids[i], st)
 			pw.mu.Unlock()
 			if err := visit(st); err != nil {
@@ -276,7 +271,7 @@ func (p *WrapperPool) RestoreTrack(st *SeriesState) error {
 				st.Track, s.Outcome, prev)
 		}
 	}
-	pw := &pooledWrapper{}
+	pw := &pooledWrapper{logged: true}
 	w := &pw.w
 	w.init(p.base, p.taqim, p.cfg)
 
@@ -432,11 +427,8 @@ func (p *WrapperPool) InstallModel(next *uw.QualityImpactModel, version uint64) 
 	}
 	for {
 		cur := p.model.Load()
-		if got, want := next.NumFeatures(), cur.qim.NumFeatures(); got != want {
-			return fmt.Errorf("%w: scores %d features, pool assembles %d", ErrModelShape, got, want)
-		}
-		if got, want := next.NumRegions(), cur.qim.NumRegions(); got != want {
-			return fmt.Errorf("%w: %d regions, serving model has %d", ErrModelShape, got, want)
+		if err := checkShape(next, cur.qim); err != nil {
+			return err
 		}
 		if version < cur.version {
 			return fmt.Errorf("core: installed model version %d would regress serving version %d",
@@ -493,8 +485,9 @@ func (p *WrapperPool) RestoreStats(st *PoolStats) {
 }
 
 // WithStateJournal enables the close journal the durability layer drains:
-// every Close/CloseSeries appends the retired track id, so the write-ahead
-// log can record closes and recovery converges on the live track set.
+// every Close/CloseSeries of a track a sweep or a restore has captured
+// appends the retired track id, so the write-ahead log can record closes and
+// recovery converges on the live track set.
 // Without this option closes are not journalled (nothing drains the
 // journal in a pool that isn't checkpointed, and it must not grow without
 // bound).
@@ -502,9 +495,9 @@ func WithStateJournal() PoolOption {
 	return func(o *poolOptions) { o.journal = true }
 }
 
-// DrainClosed appends the track ids closed since the last drain to dst and
-// returns it, clearing the journal. The flusher must write these *after*
-// the same sweep's series snapshots (see CollectDirty).
+// DrainClosed appends the journalled track ids closed since the last drain
+// to dst and returns it, clearing the journal. The flusher must write these
+// *after* the same sweep's series snapshots (see CollectDirty).
 func (p *WrapperPool) DrainClosed(dst []int) []int {
 	p.journalMu.Lock()
 	dst = append(dst, p.journal...)

@@ -43,11 +43,8 @@ func (p *WrapperPool) SwapModel(next *uw.QualityImpactModel) (oldVersion, newVer
 	}
 	for {
 		cur := p.model.Load()
-		if got, want := next.NumFeatures(), cur.qim.NumFeatures(); got != want {
-			return 0, 0, fmt.Errorf("%w: scores %d features, pool assembles %d", ErrModelShape, got, want)
-		}
-		if got, want := next.NumRegions(), cur.qim.NumRegions(); got != want {
-			return 0, 0, fmt.Errorf("%w: %d regions, serving model has %d", ErrModelShape, got, want)
+		if err := checkShape(next, cur.qim); err != nil {
+			return 0, 0, err
 		}
 		ns := &modelState{qim: next, version: cur.version + 1}
 		if p.model.CompareAndSwap(cur, ns) {
@@ -57,6 +54,18 @@ func (p *WrapperPool) SwapModel(next *uw.QualityImpactModel) (oldVersion, newVer
 			return cur.version, ns.version, nil
 		}
 	}
+}
+
+// checkShape is the guard SwapModel and InstallModel share: next must score
+// the serving model's feature width and expose its region count.
+func checkShape(next, cur *uw.QualityImpactModel) error {
+	if got, want := next.NumFeatures(), cur.NumFeatures(); got != want {
+		return fmt.Errorf("%w: scores %d features, pool assembles %d", ErrModelShape, got, want)
+	}
+	if got, want := next.NumRegions(), cur.NumRegions(); got != want {
+		return fmt.Errorf("%w: %d regions, serving model has %d", ErrModelShape, got, want)
+	}
+	return nil
 }
 
 // ModelVersion reports the serving model's version (1 until the first swap).

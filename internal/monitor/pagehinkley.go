@@ -17,15 +17,8 @@ import (
 // historical minimum.
 type DriftConfig struct {
 	// Delta is the per-sample tolerance: deviations below the running
-	// mean + Delta do not count towards drift. A zero Delta means
-	// DefaultDriftDelta unless DeltaSet is true.
+	// mean + Delta do not count towards drift (0 means DefaultDriftDelta).
 	Delta float64
-	// DeltaSet marks Delta as explicitly chosen, making the strict Delta=0
-	// detector (every deviation above the running mean counts) expressible:
-	// without it a zero value is indistinguishable from "not configured"
-	// and was silently replaced by the default. The zero-value Config keeps
-	// its historical meaning (DeltaSet false, Delta 0 → DefaultDriftDelta).
-	DeltaSet bool
 	// Lambda is the alarm threshold on the accumulated deviation (0 means
 	// DefaultDriftLambda). With squared errors in [0,1], a sustained mean
 	// increase of g raises the statistic by roughly g-Delta per feedback,
@@ -49,7 +42,7 @@ const (
 )
 
 func (c DriftConfig) withDefaults() DriftConfig {
-	if c.Delta == 0 && !c.DeltaSet {
+	if c.Delta == 0 {
 		c.Delta = DefaultDriftDelta
 	}
 	if c.Lambda == 0 {

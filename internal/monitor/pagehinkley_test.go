@@ -2,49 +2,34 @@ package monitor
 
 import "testing"
 
-// TestDriftDeltaExplicitZero is the regression test for the silently
-// impossible strict detector: an operator requesting Delta = 0 (every
-// deviation above the running mean counts towards drift) used to have the
-// zero replaced by DefaultDriftDelta in withDefaults. DeltaSet makes the
-// explicit zero representable while the zero-value Config keeps its
-// historical default.
+// TestDriftDeltaExplicitZero pins the zero-value default: an unset Delta
+// takes DefaultDriftDelta, a non-zero Delta is kept, and the configuration
+// reaches the detector through monitor.New.
 func TestDriftDeltaExplicitZero(t *testing.T) {
-	// Zero-value behaviour is unchanged: unset Delta takes the default.
 	def := DriftConfig{}.withDefaults()
 	if def.Delta != DefaultDriftDelta {
 		t.Errorf("zero-value Delta = %g, want default %g", def.Delta, DefaultDriftDelta)
 	}
-	// An explicitly chosen zero survives.
-	strict := DriftConfig{DeltaSet: true}.withDefaults()
-	if strict.Delta != 0 {
-		t.Errorf("explicit zero Delta = %g, want 0", strict.Delta)
+	if got := (DriftConfig{Delta: 0.25}).withDefaults(); got.Delta != 0.25 {
+		t.Errorf("Delta = %g, want 0.25", got.Delta)
 	}
-	// A non-zero Delta is kept either way.
-	for _, set := range []bool{false, true} {
-		got := DriftConfig{Delta: 0.25, DeltaSet: set}.withDefaults()
-		if got.Delta != 0.25 {
-			t.Errorf("DeltaSet=%v: Delta = %g, want 0.25", set, got.Delta)
-		}
-	}
-	// And the configuration reaches the detector through monitor.New.
-	m, err := New(Config{Drift: DriftConfig{DeltaSet: true, Lambda: 1, MinSamples: 1}})
+	m, err := New(Config{Drift: DriftConfig{Lambda: 1, MinSamples: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Config().Drift.Delta; got != 0 {
-		t.Errorf("monitor drift Delta = %g, want explicit 0", got)
+	if got := m.Config().Drift.Delta; got != DefaultDriftDelta {
+		t.Errorf("monitor drift Delta = %g, want default %g", got, DefaultDriftDelta)
 	}
-	// Behavioural check: with Delta 0 and a tiny lambda, a constant stream
-	// of identical squared errors still accumulates nothing (deviations
-	// from the running mean are 0), but a step change alarms immediately —
-	// the strict detector the operator asked for.
+	// Behavioural check: with a tiny lambda, a constant stream of identical
+	// squared errors accumulates nothing (deviations from the running mean
+	// are 0), but a step change alarms immediately.
 	for i := 0; i < 50; i++ {
 		if err := m.Observe(1, 0.1, false); err != nil { // se = 0.01 each
 			t.Fatal(err)
 		}
 	}
 	if m.DriftAlarmed() {
-		t.Fatal("constant stream must not alarm even at Delta 0")
+		t.Fatal("constant stream must not alarm")
 	}
 	for i := 0; i < 50; i++ {
 		if err := m.Observe(1, 0.9, false); err != nil { // se jumps to 0.81
@@ -52,14 +37,13 @@ func TestDriftDeltaExplicitZero(t *testing.T) {
 		}
 	}
 	if !m.DriftAlarmed() {
-		t.Fatal("step change must alarm the strict Delta=0 detector")
+		t.Fatal("step change must alarm")
 	}
 }
 
-// TestDriftDeltaValidation: negative deltas stay invalid with or without
-// DeltaSet.
+// TestDriftDeltaValidation: negative deltas are invalid.
 func TestDriftDeltaValidation(t *testing.T) {
-	bad := DriftConfig{Delta: -0.1, DeltaSet: true, Lambda: 1, MinSamples: 1}
+	bad := DriftConfig{Delta: -0.1, Lambda: 1, MinSamples: 1}
 	if err := bad.validate(); err == nil {
 		t.Error("negative Delta must stay invalid")
 	}

@@ -10,8 +10,9 @@
 //
 // Restore requires the same accumulator geometry (shards, window, bins,
 // leaf count) the snapshot was taken under: the per-shard windows cannot
-// be re-sharded after the per-track attribution is gone. tauserve
-// documents that the monitor flags must not change across a restore.
+// be re-sharded after the per-track attribution is gone. tauserve serves
+// the package defaults, so its state dirs always share one geometry; a
+// state written under another window or bin count is refused at start-up.
 package monitor
 
 import "fmt"

@@ -156,8 +156,10 @@ type Checkpointer struct {
 	scratch core.SeriesState
 	buf     []byte // record scratch
 	blob    []byte // checkpoint blob scratch
-	closed  []int
-	mrec    MonitorRecord
+	// closed holds the closes drained from the pool's journal that the log
+	// does not hold yet: a failed cycle keeps them for the next one.
+	closed []int
+	mrec   MonitorRecord
 
 	// lastMeta* dedupe the meta record: flushes rewrite it only on change.
 	lastMetaCounter uint64
@@ -427,14 +429,17 @@ func (c *Checkpointer) flushLocked() error {
 		return err
 	}
 	// Closes drain strictly after the sweep's snapshots (see
-	// core.CollectDirty's ordering contract).
-	c.closed = c.pool.DrainClosed(c.closed[:0])
-	for _, track := range c.closed {
+	// core.CollectDirty's ordering contract), behind those an earlier cycle
+	// drained but did not write; a failed append keeps the unwritten rest.
+	c.closed = c.pool.DrainClosed(c.closed)
+	for i, track := range c.closed {
 		c.buf = AppendCloseRecord(c.buf[:0], track)
 		if err := c.append(c.buf); err != nil {
+			c.closed = append(c.closed[:0], c.closed[i:]...)
 			return err
 		}
 	}
+	c.closed = c.closed[:0]
 	if err := c.appendMetaIfChanged(); err != nil {
 		return err
 	}
@@ -554,6 +559,11 @@ func (c *Checkpointer) Checkpoint() error {
 }
 
 func (c *Checkpointer) checkpointLocked() error {
+	// Closes drained before the sweep are of tracks the sweep no longer
+	// captures, so the blob settles them once the store accepts it. A close
+	// that lands during the sweep stays journalled for the next flush, which
+	// writes it after the blob (see core.CollectDirty).
+	c.closed = c.pool.DrainClosed(c.closed)
 	blob := c.blob[:0]
 	rec, err := c.metaRecord(c.buf[:0])
 	if err != nil {
@@ -586,9 +596,9 @@ func (c *Checkpointer) checkpointLocked() error {
 	if err := c.withRetry(func() error { return c.store.Checkpoint(blob) }); err != nil {
 		return err
 	}
-	// The checkpoint holds everything, including any pending closes and the
-	// current meta: drop the journal backlog and re-arm the meta dedupe.
-	c.closed = c.pool.DrainClosed(c.closed[:0])
+	// The checkpoint holds the closes drained before its sweep and the
+	// current meta: drop them and re-arm the meta dedupe.
+	c.closed = c.closed[:0]
 	c.lastMetaCounter = c.pool.SeriesCounter()
 	_, c.lastMetaVersion = c.pool.ServingModel()
 	c.checkpoints.Add(1)
@@ -671,11 +681,7 @@ func Recover(s Store, pool *core.WrapperPool, mon *monitor.Monitor, leaves *moni
 			if err != nil {
 				return err
 			}
-			if id := (&core.SeriesState{Track: track}).SeriesID(); id != "" {
-				if pool.CloseSeries(id) == nil {
-					rs.Closes++
-				}
-			} else if pool.Close(track) == nil {
+			if pool.Close(track) == nil {
 				rs.Closes++
 			}
 		case kindMeta:
