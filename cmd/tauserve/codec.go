@@ -231,33 +231,28 @@ type wireStep struct {
 }
 
 // decoder is a minimal JSON scanner over a complete request body. It is
-// allocation-free apart from the quality-vector slab: series ids are
-// zero-copy views into the body where possible, and unknown-field values are
-// skipped without materialising anything.
+// allocation-free once its quality arena has grown to the requests it
+// serves: series ids are zero-copy views into the body where possible, and
+// unknown-field values are skipped without materialising anything.
 type decoder struct {
 	buf []byte
 	pos int
 
 	// scratch backs escaped-string decoding and quality-key lookups.
 	scratch []byte
-	// slab backs the decoded quality vectors of both transports. It is
-	// carve-only: the wrapper buffers retain each vector after the request
-	// completes, so a carved vector is never handed out again, but the
-	// uncarved rest survives reset and pooling. Chunks grow geometrically
-	// from one vector up to maxSlabChunkItems, so allocation amortises to
-	// one make per maxSlabChunkItems vectors.
-	slab      []float64
-	nextChunk int
+	// arena backs the decoded quality vectors of both transports for one
+	// request. The pool keeps no quality vector once a step returns, so
+	// reset starts the arena over for the next request; carving grows it to
+	// the largest request served, at most maxBatchItems vectors.
+	arena []float64
 }
 
-// maxSlabChunkItems caps one slab allocation: one allocation per 256 items
-// at the largest, while keeping the retained-memory granularity (a chunk
-// stays alive while any of its vectors is still buffered) modest.
-const maxSlabChunkItems = 256
-
+// reset points the decoder at the next request's body and reclaims the
+// quality vectors carved for the previous request.
 func (d *decoder) reset(buf []byte) {
 	d.buf = buf
 	d.pos = 0
+	d.arena = d.arena[:0]
 }
 
 func (d *decoder) errAt(format string, args ...any) error {
@@ -574,25 +569,19 @@ func (d *decoder) end() error {
 	return nil
 }
 
-// qfVector carves the next quality vector out of the slab.
+// qfVector carves the next zeroed quality vector out of the arena. A full
+// arena is replaced by one twice its size, up to maxBatchItems vectors; the
+// vectors already carved keep the old backing until the request ends.
 func (d *decoder) qfVector() []float64 {
 	width := len(qualityIndex) + 1
-	if len(d.slab) < width {
-		n := d.nextChunk
-		if n < 1 {
-			n = 1
-		}
-		if n > maxSlabChunkItems {
-			n = maxSlabChunkItems
-		}
-		d.slab = make([]float64, width*n)
-		d.nextChunk = n * 8
+	n := len(d.arena)
+	if n+width > cap(d.arena) {
+		d.arena = make([]float64, 0, min(max(2*cap(d.arena), width), maxBatchItems*width))
+		n = 0
 	}
-	qf := d.slab[:width:width]
-	d.slab = d.slab[width:]
-	for i := range qf {
-		qf[i] = 0
-	}
+	d.arena = d.arena[:n+width]
+	qf := d.arena[n : n+width : n+width]
+	clear(qf)
 	return qf
 }
 
@@ -1002,7 +991,7 @@ func (d *decoder) decodeStepsArray(items []wireStep) ([]wireStep, error) {
 
 // serveScratch bundles every reusable buffer one hot exchange needs: the
 // body bytes (the wire connection's frame buffer), the decoder with its
-// quality slab, the decoded items, the pool batch inputs and results, and
+// quality arena, the decoded items, the pool batch inputs and results, and
 // the response buffer. One sync.Pool checkout per HTTP request, or per wire
 // connection.
 type serveScratch struct {
@@ -1028,8 +1017,8 @@ func getScratch() *serveScratch { return servePool.Get().(*serveScratch) }
 
 func (s *serveScratch) release() {
 	// Drop references the pool must not pin: series-id views into the body
-	// buffer die with the length reset; quality vectors are owned by the
-	// wrapper buffers now and must not be reachable from the pool.
+	// buffer die with the length reset. The decoder keeps its quality arena
+	// for the next checkout; no step kept a vector carved from it.
 	s.x = exchange{}
 	for i := range s.steps {
 		s.steps[i] = wireStep{}

@@ -572,8 +572,7 @@ type batchStepResponse struct {
 // handleStepBatch is the JSON shell of the batch core: body, decoded
 // items, pool batch inputs/results, response structs, and the response
 // bytes all live in one pooled scratch, so a steady-state batch request
-// allocates only transient error strings on failed items (plus, once per
-// slab chunk, the quality vectors the wrappers retain).
+// allocates only transient error strings on failed items.
 func (s *Server) handleStepBatch(w http.ResponseWriter, r *http.Request) {
 	sc := s.enterHTTP(w, r, &s.adm.batch, maxBatchBodyBytes)
 	if sc == nil {

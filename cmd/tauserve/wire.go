@@ -3,7 +3,7 @@
 // Each connection gets one goroutine and one pooled serveScratch; requests
 // pipeline (the client needn't wait for a response before sending the next
 // frame) and responses coalesce — the handler flushes only when the reader
-// has no buffered frame left or the output buffer is already large, so a
+// holds no complete frame or the output buffer is already large, so a
 // pipelined burst costs one write syscall, not one per frame.
 //
 // The frame handlers are codec shells over the request core in
@@ -183,7 +183,9 @@ func (ws *wireServer) handleConn(conn net.Conn) {
 			break
 		}
 		ws.dispatch(&f, sc)
-		if len(sc.out) > 0 && (fr.Buffered() == 0 || len(sc.out) >= wireFlushThreshold) {
+		// Flush before Next can block: with only part of a frame buffered,
+		// it waits for the rest, and the responses must not wait with it.
+		if len(sc.out) > 0 && (!fr.HasFrame() || len(sc.out) >= wireFlushThreshold) {
 			if ws.flush(conn, sc) != nil {
 				break
 			}
@@ -210,6 +212,9 @@ func (ws *wireServer) flush(conn net.Conn, sc *serveScratch) error {
 // frame.
 func (ws *wireServer) dispatch(f *wire.Frame, sc *serveScratch) {
 	s := ws.srv
+	// The connection handles its frames in sequence, so the previous frame's
+	// quality vectors are done with: its response is already bytes in sc.out.
+	sc.dec.reset(nil)
 	out, lenOff := wire.BeginFrame(sc.out, wire.ResponseType(f.Type), f.ReqID)
 	status, msg := http.StatusOK, ""
 	switch f.Type {
@@ -254,7 +259,7 @@ func (ws *wireServer) dispatch(f *wire.Frame, sc *serveScratch) {
 }
 
 // decodeWireItem copies a decoded item view into out. Its quality vector
-// is carved from the scratch's slab and passes the JSON items' checkQuality;
+// is carved from the scratch's arena and passes the JSON items' checkQuality;
 // a wrong factor count is the one item error only the positional wire
 // encoding can make.
 func (sc *serveScratch) decodeWireItem(v *wire.StepItemView, out *wireStep) {

@@ -565,6 +565,47 @@ func TestWireProtocolViolations(t *testing.T) {
 	}
 }
 
+// TestWireFlushesBeforePartialFrame: a response must not wait for a
+// frame that has only begun to arrive. The peer writes one hello frame and
+// the first bytes of a second in one write; the first answer must arrive
+// while the second frame is still incomplete, and the rest of it then gets
+// its own.
+func TestWireFlushesBeforePartialFrame(t *testing.T) {
+	testServer(t)
+	srv, err := NewServer(studyVal.Base, studyVal.TAQIM, simplex.DefaultTSRPolicy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", startWire(t, srv))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	first, lenOff := wire.BeginFrame(nil, wire.FrameHello, 1)
+	first = wire.EndFrame(first, lenOff)
+	second, lenOff := wire.BeginFrame(nil, wire.FrameHello, 2)
+	second = wire.EndFrame(second, lenOff)
+	if _, err := conn.Write(append(first, second[:5]...)); err != nil {
+		t.Fatal(err)
+	}
+	fr := wire.NewReader(conn, nil)
+	for i, rest := range [][]byte{second[5:], nil} {
+		conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+		f, err := fr.Next()
+		if err != nil {
+			t.Fatalf("response %d: %v", i+1, err)
+		}
+		if f.Type != wire.ResponseType(wire.FrameHello) || f.ReqID != uint32(i+1) {
+			t.Fatalf("response %d: frame type %#x reqID %d", i+1, f.Type, f.ReqID)
+		}
+		if rest != nil {
+			if _, err := conn.Write(rest); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
 // TestWireDrain covers ShutdownWire: idle connections unblock immediately
 // (the read deadline, not the ctx timeout), callers racing the drain either
 // complete or fail with a connection error, and the listener refuses new

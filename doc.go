@@ -59,7 +59,9 @@
 // StepBatchSeriesInto: pooled counting-sort grouping, closure-free
 // fan-out), taQIM inference (dtree.Compiled, including the PredictBatch /
 // ApplyBatch block walks), the tauserve hot-endpoint codec (pooled
-// request/response buffers, reflection-free encode/decode), the runtime
+// request/response buffers, reflection-free encode/decode, and one quality
+// arena per pooled scratch that every request reuses: the pool keeps no
+// step's quality vector once the step returns), the runtime
 // calibration monitoring on the step path (shard-local atomic counters
 // plus a per-series provenance ring, zero-alloc on every step but the few
 // that double a series' ring toward its cap — also while models
@@ -69,8 +71,5 @@
 // with one bool store under a lock the step already holds), and the
 // Prometheus scrape
 // (monitor.Exposition renders into a pooled buffer with cached visitor
-// closures). The deliberate
-// exception: the per-item quality vectors the wrapper buffers retain are
-// carved from fresh slab chunks (they outlive the request), so a batch
-// request costs one allocation per slab chunk rather than zero.
+// closures).
 package tauw

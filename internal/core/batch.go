@@ -118,7 +118,9 @@ func maxUsefulWorkers(n, workers int) int {
 // pool's own: one worker per minItemsPerWorker items, at most one per
 // schedulable CPU). Results are returned in input order in a freshly
 // allocated slice; hot loops that want the allocation-free path should hold
-// onto a result slice and use StepBatchInto.
+// onto a result slice and use StepBatchInto. Every batch entry point reads
+// the items' Quality slices only while it runs and keeps no reference to
+// them once it returns, so a caller may reuse them for its next batch.
 func (p *WrapperPool) StepBatch(items []StepItem, workers int) []BatchResult {
 	return p.StepBatchInto(items, workers, nil)
 }
@@ -384,7 +386,8 @@ func (s *batchScratch) release() {
 // StepBatchSeries is StepBatch addressed by string series ids: each id is
 // parsed into the track it names, ids that name no open track fail their
 // item with ErrUnknownSeries (wrapped), and all parsed items proceed as one
-// track batch. Results are returned in input order in a fresh slice.
+// track batch. Results are returned in input order in a fresh slice. Like
+// StepBatch, it keeps no reference to the items' Quality once it returns.
 func (p *WrapperPool) StepBatchSeries(items []SeriesStepItem, workers int) []BatchResult {
 	return p.StepBatchSeriesInto(items, workers, nil)
 }

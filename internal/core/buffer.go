@@ -1,12 +1,13 @@
 // Package core implements the paper's contribution: the timeseries-aware
 // uncertainty wrapper (taUW). A timeseries buffer stores the interim results
-// of the current series (DDM outcomes, per-step base-wrapper uncertainties,
-// and quality factors); an information-fusion rule combines the outcomes
-// into an improved fused prediction; four timeseries-aware quality factors
-// (taQF) are derived from the buffer; and a second calibrated quality impact
-// model (taQIM) maps the stateless factors plus the taQF to a dependable
-// uncertainty for the fused outcome. Uncertainty-fusion baselines (naïve,
-// opportune, worst-case) are provided behind the same runtime interface.
+// of the current series that the timeseries-aware quality factors read (DDM
+// outcomes and per-step base-wrapper uncertainties); an information-fusion
+// rule combines the outcomes into an improved fused prediction; four
+// timeseries-aware quality factors (taQF) are derived from the buffer; and a
+// second calibrated quality impact model (taQIM) maps the step's stateless
+// factors plus the taQF to a dependable uncertainty for the fused outcome.
+// Uncertainty-fusion baselines (naïve, opportune, worst-case) are provided
+// behind the same runtime interface.
 package core
 
 import (
@@ -16,22 +17,22 @@ import (
 )
 
 // Record stores the interim results of one timestep, as kept in the
-// timeseries buffer.
+// timeseries buffer: the pair every taQF, the fusion tally and a restore's
+// consistency checks read. A step's stateless quality factors enter only
+// that step's taQIM row, so the buffer does not keep them.
 type Record struct {
 	// Outcome is the momentaneous DDM outcome o_j.
 	Outcome int
 	// Uncertainty is the stateless base-wrapper estimate u_j.
 	Uncertainty float64
-	// Quality holds the stateless quality factors observed at t_j.
-	Quality []float64
 }
 
-// Buffer is the timeseries buffer: it accumulates one Record per timestep
-// and is cleared at the onset of a new timeseries (when the tracker reports
-// that predictions now relate to a different physical object). A Limit > 0
-// turns it into a ring that keeps only the most recent records, for
-// unbounded streams; the study uses unlimited buffers since GTSRB series
-// have at most 30 frames.
+// Buffer is the timeseries buffer: it accumulates one Record (outcome and
+// uncertainty) per timestep and is cleared at the onset of a new timeseries
+// (when the tracker reports that predictions now relate to a different
+// physical object). A Limit > 0 turns it into a ring that keeps only the
+// most recent records, for unbounded streams; the study uses unlimited
+// buffers since GTSRB series have at most 30 frames.
 //
 // Alongside the records the buffer maintains running per-outcome statistics
 // (vote counts and certainty sums), updated on every append and eviction, so

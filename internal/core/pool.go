@@ -256,7 +256,8 @@ func (p *WrapperPool) open(trackID int) error {
 }
 
 // Step feeds one timestep to the track's wrapper and records its KindStep
-// event on a traced pool.
+// event on a traced pool. The pool keeps no reference to quality once Step
+// returns (see Wrapper.Step), so the caller may reuse the slice.
 //
 //tauw:hotpath
 func (p *WrapperPool) Step(trackID, outcome int, quality []float64) (Result, error) {
@@ -416,7 +417,8 @@ func (p *WrapperPool) ResolveSeries(id string) (int, error) {
 	return track, nil
 }
 
-// StepSeries feeds one timestep to the series' wrapper.
+// StepSeries feeds one timestep to the series' wrapper. Like Step, it keeps
+// no reference to quality once it returns.
 func (p *WrapperPool) StepSeries(id string, outcome int, quality []float64) (Result, error) {
 	track, ok := parseSeries(id)
 	if !ok {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"github.com/iese-repro/tauw/internal/trace"
@@ -181,12 +182,32 @@ func TestClosedSeriesStepTraced(t *testing.T) {
 // series opens, so its steps allocate nothing.
 const servedEncounterAllocs = 8
 
-// TestServedEncounterAllocs pins what one encounter costs the heap on a
-// pool built like tauserve's — a 256-step feedback ring and the close
-// journal, drained as the durability layer's flusher would: open a series,
-// step it ten times (the study's encounter length), close it. Both the
-// server's default unbounded buffer and a 16-record cap are covered, and
-// the ids are as long as a server's after a billion series.
+// servedEncounterBytes is what those allocations add up to on this
+// package's test study. The buffer's 16 records take 256 B of it, 16 B
+// each: a step's outcome and uncertainty.
+const servedEncounterBytes = 1408
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the heap bytes f allocates
+// per call, averaged over runs calls after a warm-up call.
+func bytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// TestServedEncounterAllocs pins what one encounter costs the heap, in
+// allocations and in bytes, on a pool built like tauserve's — a 256-step
+// feedback ring and the close journal, drained as the durability layer's
+// flusher would: open a series, step it ten times (the study's encounter
+// length), close it. Both the server's default unbounded buffer and a
+// 16-record cap are covered, and the ids are as long as a server's after a
+// billion series.
 func TestServedEncounterAllocs(t *testing.T) {
 	st := buildStudy(t)
 	taqim := fitTAQIM(t, st, nil)
@@ -199,7 +220,7 @@ func TestServedEncounterAllocs(t *testing.T) {
 		}
 		pool.SetSeriesCounter(1e9)
 		var closed []int
-		allocs := testing.AllocsPerRun(100, func() {
+		encounter := func() {
 			id, err := pool.OpenSeries()
 			if err != nil {
 				t.Fatal(err)
@@ -214,10 +235,14 @@ func TestServedEncounterAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			closed = pool.DrainClosed(closed[:0])
-		})
-		if allocs > servedEncounterAllocs {
+		}
+		if allocs := testing.AllocsPerRun(100, encounter); allocs > servedEncounterAllocs {
 			t.Errorf("buffer limit %d: %.0f allocations per served encounter, want <= %d",
 				limit, allocs, servedEncounterAllocs)
+		}
+		if n := bytesPerRun(100, encounter); n > servedEncounterBytes {
+			t.Errorf("buffer limit %d: %d bytes per served encounter, want <= %d",
+				limit, n, servedEncounterBytes)
 		}
 	}
 }

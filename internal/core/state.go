@@ -1,8 +1,9 @@
 // state.go is the snapshot/restore surface of the wrapper pool — the core
 // half of the durability layer (internal/store owns the encoding and the
 // backends; this file owns what the state *is*). A track's restorable state
-// is small and flat: the buffered records, the running per-outcome
-// statistics, the incremental fusion tally, and the provenance ring. The
+// is small and flat: the buffered records (outcome and uncertainty per
+// step, what the taQF read), the running per-outcome statistics, the
+// incremental fusion tally, and the provenance ring. The
 // contract is exactness: restoring a SeriesState into a fresh pool and
 // stepping must be bit-identical to stepping the uninterrupted wrapper,
 // across ring eviction, feedback joins, and model hot-swaps
@@ -58,9 +59,8 @@ type SeriesState struct {
 	// Total is the number of steps since the series began, including
 	// records a full ring buffer has evicted.
 	Total int
-	// Records holds the buffered window in time order. Quality slices alias
-	// the state's internal arena and are only valid until the next snapshot
-	// into this value.
+	// Records holds the buffered window in time order: each step's outcome
+	// and uncertainty, everything the taQF and the tally read.
 	Records []Record
 	// Stats holds the running per-outcome statistics, sorted by outcome so
 	// two snapshots of the same buffer are identical.
@@ -72,10 +72,6 @@ type SeriesState struct {
 	Tally    fusion.TallyState
 	// Ring holds the live provenance-ring slots in ring order.
 	Ring []ProvEntry
-
-	// arena backs the Records' Quality copies (grown once per snapshot so
-	// the sub-slices never move mid-fill).
-	arena []float64
 }
 
 // snapshotInto captures the track's state. Called with pw.mu held; the
@@ -86,19 +82,8 @@ func (pw *pooledWrapper) snapshotInto(trackID int, st *SeriesState) {
 	st.Track = trackID
 	st.Total = w.buf.total
 
-	totalQ := 0
-	w.buf.each(func(r Record) { totalQ += len(r.Quality) })
-	if cap(st.arena) < totalQ {
-		st.arena = make([]float64, 0, totalQ)
-	}
-	st.arena = st.arena[:0]
 	st.Records = st.Records[:0]
-	w.buf.each(func(r Record) {
-		start := len(st.arena)
-		st.arena = append(st.arena, r.Quality...)
-		r.Quality = st.arena[start:len(st.arena):len(st.arena)]
-		st.Records = append(st.Records, r)
-	})
+	w.buf.each(func(r Record) { st.Records = append(st.Records, r) })
 
 	st.Stats = st.Stats[:0]
 	for _, s := range w.buf.stats {
@@ -278,22 +263,7 @@ func (p *WrapperPool) RestoreTrack(st *SeriesState) error {
 	// Buffer: records in time order with start=0 is a canonical ring layout
 	// — eviction order from here on matches the uninterrupted original.
 	b := &w.buf
-	totalQ := 0
-	for i := range st.Records {
-		totalQ += len(st.Records[i].Quality)
-	}
-	var arena []float64
-	if totalQ > 0 {
-		arena = make([]float64, 0, totalQ)
-	}
-	for _, r := range st.Records {
-		if len(r.Quality) > 0 {
-			start := len(arena)
-			arena = append(arena, r.Quality...)
-			r.Quality = arena[start:len(arena):len(arena)]
-		}
-		b.records = append(b.records, r)
-	}
+	b.records = append(b.records, st.Records...)
 	b.start = 0
 	b.full = limit > 0 && len(b.records) == limit
 	b.total = st.Total

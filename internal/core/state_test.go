@@ -1,9 +1,92 @@
 package core
 
 import (
+	"context"
+	"reflect"
 	"strings"
 	"testing"
 )
+
+// TestPoolKeepsNoQualitySlice: the pool reads a step's quality factors
+// only while the call runs, which is what lets a server decode every
+// request's factors into one reused arena. Two series step through
+// StepSeries and through StepBatchSeriesIntoCtx, across ring eviction; a
+// scribbling caller overwrites every quality slice it passed as soon as
+// the call returns. Every step result and both tracks' snapshots must equal
+// those of a run whose slices were never touched.
+func TestPoolKeepsNoQualitySlice(t *testing.T) {
+	st := buildStudy(t)
+	taqim := fitTAQIM(t, st, nil)
+	s := st.testSeries[0]
+	type run struct {
+		results []Result
+		snaps   [2]SeriesState
+	}
+	drive := func(scribble bool) run {
+		t.Helper()
+		pool, err := NewWrapperPool(st.base, taqim, Config{BufferLimit: 4}, 0, WithMonitoring(16))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ids [2]string
+		for i := range ids {
+			if ids[i], err = pool.OpenSeries(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var out run
+		var dst []BatchResult
+		for j := 0; j < 12; j++ {
+			k := j % len(s.Outcomes)
+			single := append([]float64(nil), s.Quality[k]...)
+			res, err := pool.StepSeries(ids[0], s.Outcomes[k], single)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out.results = append(out.results, res)
+			items := []SeriesStepItem{
+				{SeriesID: ids[1], Outcome: s.Outcomes[k], Quality: append([]float64(nil), s.Quality[k]...)},
+				{SeriesID: ids[0], Outcome: s.Outcomes[(k+1)%len(s.Outcomes)],
+					Quality: append([]float64(nil), s.Quality[(k+1)%len(s.Quality)]...)},
+			}
+			dst = pool.StepBatchSeriesIntoCtx(context.Background(), items, 0, dst)
+			for i := range dst {
+				if dst[i].Err != nil {
+					t.Fatal(dst[i].Err)
+				}
+				out.results = append(out.results, dst[i].Result)
+			}
+			if scribble {
+				for _, q := range [][]float64{single, items[0].Quality, items[1].Quality} {
+					for i := range q {
+						q[i] = -1
+					}
+				}
+			}
+		}
+		for i, id := range ids {
+			track, err := pool.ResolveSeries(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := pool.SnapshotTrack(track, &out.snaps[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return out
+	}
+	want, got := drive(false), drive(true)
+	for i := range want.results {
+		if !reflect.DeepEqual(got.results[i], want.results[i]) {
+			t.Fatalf("step result %d after scribbling:\n got %+v\nwant %+v", i, got.results[i], want.results[i])
+		}
+	}
+	for i := range want.snaps {
+		if !reflect.DeepEqual(got.snaps[i], want.snaps[i]) {
+			t.Errorf("series %d snapshot after scribbling:\n got %+v\nwant %+v", i, got.snaps[i], want.snaps[i])
+		}
+	}
+}
 
 // TestRestoreTrackRejects feeds RestoreTrack snapshots no live track can
 // produce — a decoded state record is outside input — and requires each to

@@ -159,7 +159,9 @@ func (w *Wrapper) TotalSteps() int { return w.buf.TotalSteps() }
 
 // Step processes one timestep: the momentaneous DDM outcome and the
 // stateless quality factors observed with it. It returns the fused outcome
-// and its dependable uncertainty.
+// and its dependable uncertainty. The wrapper reads quality only during the
+// call and keeps no reference to it, so the caller may reuse the slice as
+// soon as Step returns.
 func (w *Wrapper) Step(outcome int, quality []float64) (Result, error) {
 	return w.StepScoped(outcome, quality, nil)
 }
@@ -191,7 +193,7 @@ func (w *Wrapper) stepInto(taqim *uw.QualityImpactModel, outcome int, quality, s
 	if err != nil {
 		return fmt.Errorf("core: base estimate: %w", err)
 	}
-	evicted, wasEvicted := w.buf.Append(Record{Outcome: outcome, Uncertainty: est.Uncertainty, Quality: quality})
+	evicted, wasEvicted := w.buf.Append(Record{Outcome: outcome, Uncertainty: est.Uncertainty})
 	var fused int
 	var taqf [4]float64
 	if w.tally != nil {
@@ -317,7 +319,7 @@ func (w *UFWrapper) Step(outcome int, quality []float64) (Result, error) {
 	if err != nil {
 		return Result{}, fmt.Errorf("core: base estimate: %w", err)
 	}
-	w.buf.Append(Record{Outcome: outcome, Uncertainty: est.Uncertainty, Quality: quality})
+	w.buf.Append(Record{Outcome: outcome, Uncertainty: est.Uncertainty})
 	outcomes := w.buf.Outcomes()
 	us := w.buf.Uncertainties()
 	fused, err := w.fuser.Fuse(outcomes, us)

@@ -120,6 +120,18 @@ func (d *decoder) byte() byte {
 	return v
 }
 
+// skip discards the next n bytes.
+func (d *decoder) skip(n int) {
+	if d.err != nil {
+		return
+	}
+	if len(d.b) < n {
+		d.fail(errShortRecord)
+		return
+	}
+	d.b = d.b[n:]
+}
+
 func (d *decoder) bytes() []byte {
 	n := d.count(1)
 	if d.err != nil {
@@ -177,7 +189,11 @@ func (d *decoder) finish() error {
 
 // ------------------------------------------------------- series record --
 
-// AppendSeriesRecord encodes one track snapshot.
+// AppendSeriesRecord encodes one track snapshot. Each buffered record is
+// its outcome, its uncertainty and a quality-factor count that is always 0:
+// the buffer no longer keeps a step's quality vector, and the count keeps
+// the layout that records written while it did still use (see
+// DecodeSeriesRecord).
 func AppendSeriesRecord(dst []byte, st *core.SeriesState) []byte {
 	dst = append(dst, kindSeries)
 	dst = appendVarint(dst, int64(st.Track))
@@ -187,10 +203,7 @@ func AppendSeriesRecord(dst []byte, st *core.SeriesState) []byte {
 		r := &st.Records[i]
 		dst = appendVarint(dst, int64(r.Outcome))
 		dst = appendF64(dst, r.Uncertainty)
-		dst = appendUvarint(dst, uint64(len(r.Quality)))
-		for _, q := range r.Quality {
-			dst = appendF64(dst, q)
-		}
+		dst = append(dst, 0) // quality-factor count
 	}
 	dst = appendUvarint(dst, uint64(len(st.Stats)))
 	for i := range st.Stats {
@@ -230,8 +243,10 @@ func AppendSeriesRecord(dst []byte, st *core.SeriesState) []byte {
 }
 
 // DecodeSeriesRecord decodes a series record into st, reusing its slice
-// capacity (each record's Quality gets its own backing — restore is a cold
-// path and the wrapper takes ownership).
+// capacity. A record written while the buffer still kept each step's
+// quality vector carries those factors after each record's count; they are
+// read past and dropped, since nothing a restored track computes reads
+// them.
 func DecodeSeriesRecord(rec []byte, st *core.SeriesState) error {
 	if len(rec) < 1 || rec[0] != kindSeries {
 		return fmt.Errorf("store: not a series record")
@@ -245,12 +260,7 @@ func DecodeSeriesRecord(rec []byte, st *core.SeriesState) error {
 		var r core.Record
 		r.Outcome = d.intv()
 		r.Uncertainty = d.f64()
-		if nq := d.count(8); nq > 0 && d.err == nil {
-			r.Quality = make([]float64, nq)
-			for j := range r.Quality {
-				r.Quality[j] = d.f64()
-			}
-		}
+		d.skip(8 * d.count(8))
 		st.Records = append(st.Records, r)
 	}
 	nstats := d.count(3)

@@ -11,16 +11,16 @@ import (
 )
 
 // sampleSeriesState covers every field class: negative track (series
-// space), eviction (Total > len(Records)), per-record quality vectors,
-// outcome stats with non-trivial certainty sums, a majority tally with a
-// recency clock, and a provenance ring with taken and untaken slots.
+// space), eviction (Total > len(Records)), outcome stats with non-trivial
+// certainty sums, a majority tally with a recency clock, and a provenance
+// ring with taken and untaken slots.
 func sampleSeriesState() core.SeriesState {
 	return core.SeriesState{
 		Track: -3,
 		Total: 12,
 		Records: []core.Record{
-			{Outcome: 1, Uncertainty: 0.25, Quality: []float64{0.1, 0.9, 3.5}},
-			{Outcome: -2, Uncertainty: math.Nextafter(0, 1), Quality: []float64{0, 0, 0}},
+			{Outcome: 1, Uncertainty: 0.25},
+			{Outcome: -2, Uncertainty: math.Nextafter(0, 1)},
 			{Outcome: 0, Uncertainty: 1},
 		},
 		Stats: []core.OutcomeStat{
@@ -52,15 +52,8 @@ func seriesStatesEqual(a, b *core.SeriesState) bool {
 	}
 	for i := range a.Records {
 		ra, rb := &a.Records[i], &b.Records[i]
-		if ra.Outcome != rb.Outcome ||
-			math.Float64bits(ra.Uncertainty) != math.Float64bits(rb.Uncertainty) ||
-			len(ra.Quality) != len(rb.Quality) {
+		if ra.Outcome != rb.Outcome || math.Float64bits(ra.Uncertainty) != math.Float64bits(rb.Uncertainty) {
 			return false
-		}
-		for j := range ra.Quality {
-			if math.Float64bits(ra.Quality[j]) != math.Float64bits(rb.Quality[j]) {
-				return false
-			}
 		}
 	}
 	for i := range a.Stats {

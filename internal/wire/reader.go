@@ -8,9 +8,9 @@ import (
 // Reader decodes frames from a byte stream into zero-copy payload views.
 // It owns one growable buffer: complete frames already buffered are served
 // without touching the underlying reader, which is what lets a server
-// coalesce responses (flush only when Buffered() == 0, i.e. the client is
-// about to wait) and lets a drain deadline interrupt only idle connections,
-// never frames already received.
+// coalesce responses (flush only when HasFrame is false, i.e. the next Next
+// would wait on the stream) and lets a drain deadline interrupt only idle
+// connections, never frames already received.
 type Reader struct {
 	r   io.Reader
 	buf []byte
@@ -33,10 +33,15 @@ func NewReader(r io.Reader, buf []byte) *Reader {
 // stream ends.
 func (fr *Reader) Buffer() []byte { return fr.buf }
 
-// Buffered reports how many unconsumed bytes sit in the buffer. Zero means
-// the next frame needs a fresh read from the stream — the peer has nothing
-// else in flight, so now is the moment to flush pending responses.
-func (fr *Reader) Buffered() int { return fr.end - fr.start }
+// HasFrame reports whether the buffer holds a complete frame, so the next
+// Next returns without reading the stream. When it is false, the next frame
+// or the rest of it has yet to arrive, and the peer may be waiting on the
+// responses to what it sent: now is the moment to flush them. A partly
+// buffered frame counts as absent, since Next would block on its rest.
+func (fr *Reader) HasFrame() bool {
+	n := fr.end - fr.start
+	return n >= HeaderSize && uint64(n) >= 4+uint64(getU32(fr.buf[fr.start:]))
+}
 
 // fill reads more bytes until at least need are buffered, compacting the
 // buffer as required and growing it only as bytes arrive: a full buffer at

@@ -65,6 +65,36 @@ func TestReaderSplitReads(t *testing.T) {
 	}
 }
 
+// TestReaderHasFrame: HasFrame is true exactly while a complete frame is
+// buffered, so Next can return it without reading the stream; a frame of
+// which only the first bytes, or only the header, arrived counts as absent.
+func TestReaderHasFrame(t *testing.T) {
+	third := buildFrame(FrameStep, 3, []byte("gamma"))
+	var stream []byte
+	stream = append(stream, buildFrame(FrameStep, 1, []byte("alpha"))...)
+	stream = append(stream, buildFrame(FrameHello, 2, nil)...)
+	stream = append(stream, third[:5]...)
+	fr := NewReader(bytes.NewReader(stream), nil)
+	if fr.HasFrame() {
+		t.Fatal("HasFrame before any read")
+	}
+	for i, want := range []bool{true, false} {
+		if _, err := fr.Next(); err != nil {
+			t.Fatalf("frame %d: %v", i+1, err)
+		}
+		if got := fr.HasFrame(); got != want {
+			t.Fatalf("after frame %d: HasFrame = %v, want %v", i+1, got, want)
+		}
+	}
+	fr = NewReader(bytes.NewReader(append(buildFrame(FrameHello, 1, nil), third[:HeaderSize]...)), nil)
+	if _, err := fr.Next(); err != nil {
+		t.Fatal(err)
+	}
+	if fr.HasFrame() {
+		t.Fatal("HasFrame with only the next frame's header buffered")
+	}
+}
+
 // TestReaderGrowth feeds a frame larger than the initial buffer so the
 // reader must grow, then a small one to confirm the stream stays aligned.
 func TestReaderGrowth(t *testing.T) {

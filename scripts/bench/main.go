@@ -12,14 +12,16 @@
 //
 //	bench compare -baseline BENCH_2.json -current BENCH_PR3.json \
 //	    -gate 'BenchmarkWrapperStep,BenchmarkPoolStepParallel' -warn 0.10 -fail 0.50
-//	    Compare two trajectory files. Gated benchmarks (name-prefix match)
-//	    warn above the warn threshold and fail the process (exit 1) above
-//	    the fail threshold of ns/op regression; everything else is
-//	    reported informationally. Independently, the -alloc-gate threshold
-//	    (default 2) fails any benchmark that was at or under the threshold
-//	    in allocs/op in the baseline and now exceeds it: zero-alloc paths
-//	    may not silently decay, and unlike ns/op the check is
-//	    machine-independent so it applies to every benchmark.
+//	    Compare two trajectory files. A -gate entry gates the benchmark it
+//	    names: that row, its " [procs=N]" rows and its sub-benchmarks
+//	    (name/...), never another benchmark whose name merely starts the
+//	    same. Gated benchmarks warn above the warn threshold and fail the
+//	    process (exit 1) above the fail threshold of ns/op regression;
+//	    everything else is reported informationally. Independently, the
+//	    -alloc-gate threshold (default 2) fails any benchmark that was at or
+//	    under the threshold in allocs/op in the baseline and now exceeds it:
+//	    zero-alloc paths may not silently decay, and unlike ns/op the check
+//	    is machine-independent so it applies to every benchmark.
 //
 // Benchmarks measured at GOMAXPROCS > 1 (-cpu=1,4) keep their own keys with
 // a " [procs=N]" suffix, so contention rows never min-merge with the
@@ -211,7 +213,7 @@ func runCompare(args []string) error {
 	baselinePath := fs.String("baseline", "", "committed BENCH_*.json to compare against")
 	currentPath := fs.String("current", "", "freshly measured JSON")
 	gate := fs.String("gate", "BenchmarkWrapperStep,BenchmarkPoolStepParallel",
-		"comma-separated name prefixes whose ns/op regressions are gated")
+		"comma-separated benchmark names whose ns/op regressions are gated, each with its procs rows and sub-benchmarks")
 	warn := fs.Float64("warn", 0.10, "gated regression fraction that triggers a warning")
 	fail := fs.Float64("fail", 0.50, "gated regression fraction that fails the gate")
 	allocGate := fs.Float64("alloc-gate", 2,
@@ -251,7 +253,7 @@ func runCompare(args []string) error {
 	gates := strings.Split(*gate, ",")
 	gated := func(name string) bool {
 		for _, g := range gates {
-			if g != "" && strings.HasPrefix(name, strings.TrimSpace(g)) {
+			if gateCovers(strings.TrimSpace(g), name) {
 				return true
 			}
 		}
@@ -338,6 +340,15 @@ func runCompare(args []string) error {
 		return fmt.Errorf("benchmark gate failed")
 	}
 	return nil
+}
+
+// gateCovers reports whether -gate entry g covers the trajectory row name:
+// the benchmark g itself, its rows at another GOMAXPROCS ("g [procs=N]")
+// and its sub-benchmarks ("g/..."). A plain prefix match would let
+// BenchmarkWrapperStep gate BenchmarkWrapperStepLenReference too.
+func gateCovers(g, name string) bool {
+	rest, ok := strings.CutPrefix(name, g)
+	return g != "" && ok && (rest == "" || rest[0] == '/' || strings.HasPrefix(rest, " [procs="))
 }
 
 // allocRegressed is the zero-alloc decay rule: a benchmark whose baseline

@@ -87,3 +87,33 @@ func TestStripProcs(t *testing.T) {
 		}
 	}
 }
+
+// TestGateCovers: a gate entry covers its own benchmark, that benchmark's
+// procs rows and its sub-benchmarks, and nothing that merely shares the
+// prefix.
+func TestGateCovers(t *testing.T) {
+	cases := []struct {
+		gate, name string
+		want       bool
+	}{
+		{"BenchmarkWrapperStep", "BenchmarkWrapperStep", true},
+		{"BenchmarkWrapperStep", "BenchmarkWrapperStep [procs=4]", true},
+		{"BenchmarkWrapperStep", "BenchmarkWrapperStepLen/len=10", false},
+		{"BenchmarkWrapperStep", "BenchmarkWrapperStepLenReference/len=10", false},
+		{"BenchmarkWrapperStepLen", "BenchmarkWrapperStepLen/len=10000 [procs=4]", true},
+		{"BenchmarkWrapperStepLen", "BenchmarkWrapperStepLenReference/len=10", false},
+		{"BenchmarkPoolStepBatch", "BenchmarkPoolStepBatch/reuse/workers=1", true},
+		{"BenchmarkWireStep", "BenchmarkWireStepSerial", false},
+		{"BenchmarkWireStepSerial", "BenchmarkWireStepSerial", true},
+		{"BenchmarkWireBatch", "BenchmarkWireBatchStep", false},
+		{"BenchmarkCheckpoint/mem", "BenchmarkCheckpoint/mem", true},
+		{"BenchmarkCheckpoint/mem", "BenchmarkCheckpoint/file", false},
+		{"BenchmarkFlush", "BenchmarkFlushes", false},
+		{"", "BenchmarkWrapperStep", false},
+	}
+	for _, c := range cases {
+		if got := gateCovers(c.gate, c.name); got != c.want {
+			t.Errorf("gateCovers(%q, %q) = %v, want %v", c.gate, c.name, got, c.want)
+		}
+	}
+}
